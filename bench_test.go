@@ -287,7 +287,7 @@ func BenchmarkKDEEstimate(b *testing.B) {
 // serving-path criteria compare fused/fast against generic/exact and
 // fused/float32 against fused/fast. Each variant reports bytes/query (the
 // sample bytes one query streams: rows × dims × element size) and
-// queries/op, from which cmd/benchjson derives effective bandwidth.
+// queries/op, from which the effective bandwidth follows.
 func BenchmarkSelectivityBatch(b *testing.B) {
 	const d, s = 8, 4096
 	for _, v := range []struct {
@@ -385,31 +385,6 @@ func BenchmarkServeThroughput(b *testing.B) {
 				b.ReportMetric(total/sec, "qps")
 			}
 		})
-	}
-}
-
-// BenchmarkAnalyzeUnderLoad measures the estimate-latency tail while an
-// ANALYZE (Reoptimize) pass runs concurrently, comparing the serialized
-// baseline (every estimate queues behind the writer mutex for the whole
-// re-optimization) against snapshot-isolated serving (estimates keep reading
-// the pre-ANALYZE model lock-free). The acceptance criterion for snapshot
-// isolation is serialized p99 / snapshot p99 ≥ 10 inside ANALYZE windows.
-func BenchmarkAnalyzeUnderLoad(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.AnalyzeUnderLoad(experiments.AnalyzeLoadConfig{
-			Dims:       4,
-			SampleSize: 4096,
-			Clients:    8,
-			Feedback:   150,
-			Rounds:     2,
-			Seed:       int64(41 + i),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Serialized.P99.Seconds()*1e3, "serialized-p99-ms")
-		b.ReportMetric(res.Snapshot.P99.Seconds()*1e3, "snapshot-p99-ms")
-		b.ReportMetric(res.Speedup, "p99-speedup")
 	}
 }
 
@@ -685,56 +660,6 @@ func BenchmarkBuildAdaptive(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkShardedEstimate runs the shard-isolation experiment (see
-// internal/experiments/shard.go): a K=4 sharded group serves closed-loop
-// scatter/gather traffic through alternating quiescent legs (dry-run
-// bandwidth optimizations, load-matched, results discarded) and churn
-// legs (real ANALYZEs on one shard). Each round pairs a churn leg's
-// gather p99 against the immediately preceding quiescent leg's;
-// during-p99-ratio is the median paired ratio across every round of
-// every iteration (≤ 2 required: per-shard locks keep the lock-free
-// gather path unstalled). The pairing and the median are both
-// load-bearing on a shared 1-vCPU host: hypervisor steal arrives in
-// ~100ms bursts that land inside a single leg, so a sequential
-// two-phase design measured the host, not the locks — a null experiment
-// with identical work in both phases still swung from 0.8 to 6 — while
-// a wrecked round here moves one ratio the median then discards.
-func BenchmarkShardedEstimate(b *testing.B) {
-	totalServed := 0
-	duringN := 0
-	var ratios []float64
-	var last *experiments.ShardLoadResult
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.ShardLoad(experiments.ShardLoadConfig{
-			Shards:     4,
-			Rows:       3000,
-			SampleSize: 1024,
-			Clients:    2,
-			Duration:   300 * time.Millisecond,
-			Rounds:     3,
-			Feedback:   16,
-			Seed:       int64(71 + i),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		totalServed += res.Served
-		duringN += res.DuringN
-		ratios = append(ratios, res.RoundRatios...)
-		last = res
-	}
-	if sec := b.Elapsed().Seconds(); sec > 0 {
-		b.ReportMetric(float64(totalServed)/sec, "qps")
-	}
-	if len(ratios) > 0 {
-		sort.Float64s(ratios)
-		b.ReportMetric(ratios[len(ratios)/2], "during-p99-ratio")
-		b.ReportMetric(float64(len(ratios)), "rounds")
-	}
-	b.ReportMetric(float64(last.Config.Shards), "shards")
-	b.ReportMetric(float64(duringN), "during-samples")
 }
 
 // BenchmarkIngestServing runs the continuous-ingestion experiment (see

@@ -38,7 +38,7 @@ import (
 
 func main() {
 	var (
-		exp   = flag.String("exp", "all", "experiment: fig4, fig5, table1, fig6, fig7, fig8, shift, serve, analyze, registry, shard, network, ingest, ablations, all")
+		exp   = flag.String("exp", "all", "experiment: fig4, fig5, table1, fig6, fig7, fig8, shift, serve, registry, network, ingest, ablations, all")
 		seed  = flag.Int64("seed", 42, "random seed")
 		quick = flag.Bool("quick", false, "shrink sizes for a fast smoke run")
 		rows  = flag.Int("rows", 0, "override dataset rows (0 = experiment default)")
@@ -56,7 +56,7 @@ func main() {
 		serveWait  = flag.Duration("serve-wait", 0, "serve experiment: batch fill deadline (0 = default 100µs; negative = no wait)")
 		profServe  = flag.Bool("profile-serve", false, "label the serve scheduler goroutine in CPU profiles (pprof label kdesel_serve=batcher; combine with -cpuprofile)")
 		regModels  = flag.Int("registry-models", 0, "registry experiment: single-table model count (0 = default 8)")
-		shards     = flag.Int("shards", 0, "shard experiment: sample partition count K (0 = default 4)")
+		shards     = flag.Int("shards", 0, "ingest experiment: model shard count K (0 or 1 = one shard)")
 		erfMode    = flag.String("erf", "exact", "erf implementation for Gaussian kernels: exact (math.Erf) | fast (polynomial, |err| ≤ 1e-7)")
 		precFlag   = flag.String("precision", "float64", "serve experiment: serving precision tier, float64 | float32 | quantized (reduced tiers fall back to float64 if over their error contract)")
 	)
@@ -321,25 +321,6 @@ func main() {
 		res.WriteTable(os.Stdout)
 		return nil
 	}
-	runAnalyze := func() error {
-		cfg := experiments.AnalyzeLoadConfig{
-			Seed:     *seed,
-			MaxBatch: *serveBatch,
-			MaxWait:  *serveWait,
-			Metrics:  reg,
-		}
-		if *quick {
-			cfg.SampleSize = 1024
-			cfg.Feedback = 40
-			cfg.Rounds = 2
-		}
-		res, err := experiments.AnalyzeUnderLoad(cfg)
-		if err != nil {
-			return err
-		}
-		res.WriteTable(os.Stdout)
-		return nil
-	}
 	runRegistry := func() error {
 		cfg := experiments.RegistryLoadConfig{
 			Seed:      *seed,
@@ -356,26 +337,6 @@ func main() {
 			cfg.Feedback = 96
 		}
 		res, err := experiments.RegistryLoad(cfg)
-		if err != nil {
-			return err
-		}
-		res.WriteTable(os.Stdout)
-		return nil
-	}
-	runShard := func() error {
-		cfg := experiments.ShardLoadConfig{
-			Seed:    *seed,
-			Shards:  *shards,
-			Metrics: reg,
-		}
-		if *quick {
-			cfg.Rows = 3000
-			cfg.SampleSize = 1024
-			cfg.Duration = 300 * time.Millisecond
-			cfg.Rounds = 5
-			cfg.Feedback = 16
-		}
-		res, err := experiments.ShardLoad(cfg)
 		if err != nil {
 			return err
 		}
@@ -460,12 +421,8 @@ func main() {
 		run("workload shift (extension)", runShift)
 	case "serve":
 		run("serving throughput (coalescing)", runServe)
-	case "analyze":
-		run("ANALYZE under load (snapshot isolation)", runAnalyze)
 	case "registry":
 		run("multi-model registry (mixed traffic)", runRegistry)
-	case "shard":
-		run("sharded serving (analyze isolation)", runShard)
 	case "network":
 		run("network resilience (chaos under overload)", runNetwork)
 	case "ingest":
@@ -481,9 +438,7 @@ func main() {
 		run("figure 8 (changing data)", runFig8)
 		run("workload shift (extension)", runShift)
 		run("serving throughput (coalescing)", runServe)
-		run("ANALYZE under load (snapshot isolation)", runAnalyze)
 		run("multi-model registry (mixed traffic)", runRegistry)
-		run("sharded serving (analyze isolation)", runShard)
 		run("network resilience (chaos under overload)", runNetwork)
 		run("continuous ingestion (bounded-lag serving)", runIngest)
 		run("ablations", runAblations)

@@ -103,7 +103,7 @@ func main() {
 		maxResid   = flag.Int("max-resident", 0, "with -models: cap resident models; LRU victims are checkpointed to -checkpoint-dir and restored on their next query (0 = unbounded)")
 		ckptDir    = flag.String("checkpoint-dir", "", "with -models: directory for per-model checkpoint rotation (also written on exit)")
 		precFlag   = flag.String("precision", "float64", "serving precision tier: float64 (exact) | float32 (4 B/value, rel err ≤ 1e-5) | quantized (int16, 2 B/value, rel err ≤ 1e-3); reduced tiers fall back to float64 if they miss their error contract")
-		shardsN    = flag.Int("shards", 1, "with -listen or -models: partition each model's sample across this many shard estimators (scatter/gather serving, bit-identical results at any count; ANALYZE touches one shard's lock only)")
+		shardsN    = flag.Int("shards", 1, "shard count K: the model's 256-row sample chunks are owned round-robin by K shards, and each ANALYZE optimizes over the next shard's rows alone (estimates are bit-identical at any K)")
 		listen     = flag.String("listen", "", "serve the model(s) over HTTP/JSON on this address (e.g. :8080) instead of answering positional queries; SIGINT/SIGTERM drains gracefully")
 		ingestRate = flag.Float64("ingest-rate", 0, "with -listen: attach continuous ingestion to every model and replay synthetic rows (existing rows with small jitter) into each backing table at this many rows/second while serving (0 = off)")
 		httpTo     = flag.Duration("http-timeout", time.Second, "with -listen: default per-request deadline (callers override via timeout_ms)")
@@ -124,9 +124,6 @@ func main() {
 	}
 	if *loadPath != "" && *restore != "" {
 		fail("-load and -restore are mutually exclusive")
-	}
-	if *shardsN > 1 && *listen == "" && *modelsSpec == "" {
-		fail("-shards needs a registry serving path: pass -listen and/or -models")
 	}
 
 	// -faults overrides the environment knobs; both disabled leave injection
@@ -214,7 +211,7 @@ func main() {
 			Workers:       *workers,
 			Metrics:       reg,
 		})
-		cfg := kdesel.Config{SampleSize: *sampleN, Seed: *seed, Faults: inj}
+		cfg := kdesel.Config{SampleSize: *sampleN, Seed: *seed, Shards: *shardsN, Faults: inj}
 		switch *mode {
 		case "heuristic":
 			cfg.Mode = kdesel.Heuristic
@@ -229,13 +226,7 @@ func main() {
 			fail("unknown mode %q", *mode)
 		}
 		serveCfg := kdesel.ServeConfig{MaxBatch: *serveBatch, MaxWait: *serveWait, Precision: prec}
-		if *shardsN > 1 {
-			// Sharded models start from the heuristic bandwidth and adapt
-			// through feedback; -mode shapes only the unsharded path.
-			if err := rreg.AdmitSharded(key, tab, cfg, *shardsN, serveCfg); err != nil {
-				fail("admitting %s (%d shards): %v", key, *shardsN, err)
-			}
-		} else if err := rreg.Admit(key, tab, cfg, serveCfg); err != nil {
+		if err := rreg.Admit(key, tab, cfg, serveCfg); err != nil {
 			fail("admitting %s: %v", key, err)
 		}
 		stopIngest := startIngest(rreg, []kdesel.ModelKey{key}, *ingestRate, *seed)
@@ -286,7 +277,7 @@ func main() {
 		est.Instrument(reg)
 		est.SetFaultInjector(inj)
 	} else {
-		cfg := kdesel.Config{SampleSize: *sampleN, Seed: *seed, Workers: *workers, Metrics: reg, Faults: inj}
+		cfg := kdesel.Config{SampleSize: *sampleN, Seed: *seed, Shards: *shardsN, Workers: *workers, Metrics: reg, Faults: inj}
 		switch *mode {
 		case "heuristic":
 			cfg.Mode = kdesel.Heuristic
@@ -487,7 +478,7 @@ func runModels(r modelsRun) {
 		if err != nil {
 			fail("projecting %s: %v", key, err)
 		}
-		cfg := kdesel.Config{SampleSize: r.sampleN, Seed: r.seed + int64(i), Faults: r.faults}
+		cfg := kdesel.Config{SampleSize: r.sampleN, Seed: r.seed + int64(i), Shards: r.shards, Faults: r.faults}
 		switch r.mode {
 		case "heuristic":
 			cfg.Mode = kdesel.Heuristic
@@ -501,11 +492,7 @@ func runModels(r modelsRun) {
 		default:
 			fail("unknown mode %q", r.mode)
 		}
-		if r.shards > 1 {
-			if err := reg.AdmitSharded(key, proj, cfg, r.shards, serveCfg); err != nil {
-				fail("admitting %s (%d shards): %v", key, r.shards, err)
-			}
-		} else if err := reg.Admit(key, proj, cfg, serveCfg); err != nil {
+		if err := reg.Admit(key, proj, cfg, serveCfg); err != nil {
 			fail("admitting %s: %v", key, err)
 		}
 		keys[i] = key

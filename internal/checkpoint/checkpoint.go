@@ -76,9 +76,6 @@ const (
 	headerLen   = 4 + 4 + 4 + 8
 )
 
-// Marshal frames a gob-encoded payload with a zero meta word.
-func Marshal(payload any) ([]byte, error) { return MarshalMeta(payload, 0) }
-
 // MarshalMeta frames a gob-encoded payload: magic, version, meta, length,
 // payload, CRC-32C of the payload.
 func MarshalMeta(payload any, meta uint32) ([]byte, error) {
@@ -95,14 +92,6 @@ func MarshalMeta(payload any, meta uint32) ([]byte, error) {
 	sum := crc32.Checksum(buf[headerLen:headerLen+body.Len()], castagnoli)
 	binary.LittleEndian.PutUint32(buf[headerLen+body.Len():], sum)
 	return buf, nil
-}
-
-// Unmarshal verifies a frame and gob-decodes its payload into out,
-// discarding the meta word. It returns ErrCorrupt for bad framing or
-// checksum mismatch and a *VersionError for an unknown version.
-func Unmarshal(b []byte, out any) error {
-	_, err := UnmarshalMeta(b, out)
-	return err
 }
 
 // UnmarshalMeta verifies a frame, gob-decodes its payload into out, and
@@ -167,74 +156,7 @@ func WriteFileMeta(path string, payload any, meta uint32, inj *fault.Injector) e
 	return writeAtomic(path, buf)
 }
 
-// WriteFileFrames atomically writes a sequence of pre-marshaled frames
-// (each produced by Marshal/MarshalMeta) to path as one file: temp file,
-// sync, rename — so a multi-frame checkpoint (e.g. one frame per shard of a
-// sharded model) is installed all-or-nothing, never a prefix. SplitFrames
-// recovers the individual frames on read; each carries its own CRC, so a
-// flipped bit in any one shard's frame surfaces as ErrCorrupt for that
-// frame.
-//
-// inj, when non-nil, may corrupt the written bytes at the
-// fault.CheckpointCorrupt point (one deterministic bit flip in the first
-// frame's payload). Pass nil in production.
-func WriteFileFrames(path string, frames [][]byte, inj *fault.Injector) error {
-	if len(frames) == 0 {
-		return errors.New("checkpoint: no frames to write")
-	}
-	total := 0
-	for _, f := range frames {
-		total += len(f)
-	}
-	buf := make([]byte, 0, total)
-	for _, f := range frames {
-		buf = append(buf, f...)
-	}
-	if inj.Fire(fault.CheckpointCorrupt) && len(frames[0]) > headerLen {
-		buf[headerLen+(len(frames[0])-headerLen-4)/2] ^= 0x40
-	}
-	return writeAtomic(path, buf)
-}
-
-// SplitFrames walks a concatenation of frames (as written by
-// WriteFileFrames) and returns one sub-slice per frame, using each header's
-// payload length to find the next frame boundary. Framing damage that makes
-// the walk impossible returns ErrCorrupt; payload CRCs are verified later,
-// by UnmarshalMeta on each returned frame.
-func SplitFrames(b []byte) ([][]byte, error) {
-	var frames [][]byte
-	for len(b) > 0 {
-		if len(b) < headerLenV1+4 || !bytes.Equal(b[0:4], magic[:]) {
-			return nil, ErrCorrupt
-		}
-		var hdr int
-		switch v := binary.LittleEndian.Uint32(b[4:8]); v {
-		case 1:
-			hdr = headerLenV1
-		case Version:
-			if len(b) < headerLen+4 {
-				return nil, ErrCorrupt
-			}
-			hdr = headerLen
-		default:
-			return nil, &VersionError{Got: v}
-		}
-		n := binary.LittleEndian.Uint64(b[hdr-8 : hdr])
-		if n > uint64(len(b)-hdr-4) {
-			return nil, ErrCorrupt
-		}
-		end := hdr + int(n) + 4
-		frames = append(frames, b[:end])
-		b = b[end:]
-	}
-	if len(frames) == 0 {
-		return nil, ErrCorrupt
-	}
-	return frames, nil
-}
-
-// writeAtomic installs buf at path via the temp+sync+rename protocol shared
-// by WriteFileMeta and WriteFileFrames.
+// writeAtomic installs buf at path via the temp+sync+rename protocol.
 func writeAtomic(path string, buf []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".ckpt-*")

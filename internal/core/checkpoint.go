@@ -1,6 +1,10 @@
 package core
 
 import (
+	"errors"
+	"fmt"
+	"os"
+
 	"kdesel/internal/checkpoint"
 	"kdesel/internal/gpu"
 	"kdesel/internal/learner"
@@ -29,7 +33,17 @@ type chkState struct {
 	// Gob omits zero values, so frames written before ingestion existed
 	// restore with cursor 0 — the correct "nothing applied" meaning.
 	IngestSeq uint64
+	// Shards is K (Config.Shards, at least 1) and Analyzes the ANALYZE
+	// count n, which together pick the rows and the random stream of the
+	// next ANALYZE.
+	Shards   int
+	Analyzes int
 }
+
+// maxRestoreDraws bounds the recorded RNG stream position a restore
+// replays: fast-forwarding is one source step per draw, and 2^32 steps
+// already take several seconds.
+const maxRestoreDraws = 1 << 32
 
 // Checkpoint atomically writes the estimator's complete state to path in
 // the framed, CRC-checked format of internal/checkpoint. The sample is
@@ -48,6 +62,8 @@ func (e *Estimator) Checkpoint(path string) error {
 		LastEvent: e.lastEvent,
 		GradTrips: e.gradTrips,
 		IngestSeq: e.ingestSeq,
+		Shards:    e.cfg.shards(),
+		Analyzes:  e.analyzes,
 	}
 	if e.learn != nil {
 		ls := e.learn.State()
@@ -73,10 +89,33 @@ func (e *Estimator) Checkpoint(path string) error {
 // random stream is fast-forwarded to the recorded position. Call
 // Instrument afterwards to attach telemetry (registries are not persisted).
 func RestoreCheckpoint(path string, tab *table.Table, dev *gpu.Device) (*Estimator, error) {
-	var st chkState
-	meta, err := checkpoint.ReadFileMeta(path, &st)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
+	}
+	return restoreFrame(b, tab, dev)
+}
+
+// restoreFrame is RestoreCheckpoint over the frame's bytes. Every field is
+// validated before use, so no frame — however damaged past its CRC — can
+// make the restore panic or yield an unusable estimator.
+func restoreFrame(b []byte, tab *table.Table, dev *gpu.Device) (*Estimator, error) {
+	var st chkState
+	meta, err := checkpoint.UnmarshalMeta(b, &st)
+	if err != nil {
+		return nil, err
+	}
+	switch {
+	case st.Shards < 1:
+		return nil, fmt.Errorf("core: checkpoint shard count %d < 1", st.Shards)
+	case st.Analyzes < 0:
+		return nil, fmt.Errorf("core: checkpoint ANALYZE count %d < 0", st.Analyzes)
+	case st.RNGDraws > maxRestoreDraws:
+		return nil, fmt.Errorf("core: checkpoint RNG position %d exceeds %d", st.RNGDraws, uint64(maxRestoreDraws))
+	case st.ReservoirSeen < 0 || st.GradTrips < 0:
+		return nil, errors.New("core: checkpoint has negative counters")
+	case st.Health < int(Healthy) || st.Health > int(Fallback):
+		return nil, fmt.Errorf("core: checkpoint health %d out of range", st.Health)
 	}
 	e, err := restoreFromSnapshot(st.Snap, tab, dev)
 	if err != nil {
@@ -104,6 +143,8 @@ func RestoreCheckpoint(path string, tab *table.Table, dev *gpu.Device) (*Estimat
 	e.lastEvent = st.LastEvent
 	e.gradTrips = st.GradTrips
 	e.ingestSeq = st.IngestSeq
+	e.cfg.Shards = st.Shards
+	e.analyzes = st.Analyzes
 	// Reapply the checkpointed serving precision (v1 frames carry meta 0 =
 	// Float64). The tier is rebuilt from the restored sample and passes
 	// the verify gate again before serving; an unknown byte from a future

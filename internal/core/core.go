@@ -101,6 +101,13 @@ type Config struct {
 	BatchOptions bandwidth.OptimalConfig
 	// Seed drives all randomness (sampling, optimizer restarts).
 	Seed int64
+	// Shards is K, the number of shards that own the sample's 256-row
+	// chunks (internal/parallel's chunk grid): chunk c belongs to shard
+	// c mod K. 0 or 1 mean one shard. K changes no estimate, feedback or
+	// ingest result; it decides which rows the n-th ANALYZE optimizes over
+	// (shard (n−1) mod K's) and, when Faults is set, which chunks a
+	// fault.ShardFail drops from an estimate (Server.EstimateDetail).
+	Shards int
 	// Workers sets the host execution parallelism of all KDE math —
 	// estimates, gradients, and batch bandwidth optimization: 0 or 1 run
 	// serially (the default spawns no goroutines), n > 1 uses n workers,
@@ -136,6 +143,13 @@ func (c Config) sampleSize() int {
 		return c.SampleSize
 	}
 	return 1024
+}
+
+func (c Config) shards() int {
+	if c.Shards > 1 {
+		return c.Shards
+	}
+	return 1
 }
 
 func (c Config) kernel() kernel.Kernel {
@@ -205,6 +219,10 @@ type Estimator struct {
 	// number applied through ApplyMutations. Checkpoints capture it so a
 	// restore can resume the feed exactly once (see internal/ingest).
 	ingestSeq uint64
+
+	// analyzes is n, the number of ANALYZEs started; it picks the shard
+	// and seeds the optimizer stream of the next one (beginAnalyze).
+	analyzes int
 
 	// Snapshot-isolated serving state (snapshot.go): snap holds the current
 	// immutable read view, snapOn gates publishing (enabled by core.Server).
@@ -917,16 +935,41 @@ func (e *Estimator) replacePoint(i int, row []float64) error {
 	return e.host.ReplacePoint(i, row)
 }
 
-// Reoptimize re-runs the batch bandwidth optimization over fresh feedback,
-// usable from any mode (e.g. periodic re-tuning of a Batch estimator).
+// Reoptimize re-runs the batch bandwidth optimization over fresh feedback —
+// the ANALYZE step — usable from any mode (e.g. periodic re-tuning of a
+// Batch estimator). The n-th ANALYZE optimizes over the rows of shard
+// (n−1) mod K, the whole sample when K is 1 (see beginAnalyze).
 func (e *Estimator) Reoptimize(fbs []query.Feedback) error {
-	// The tier's error profile depends on the bandwidth: force the next
-	// publish to re-verify (and retry a previously refused tier).
-	e.invalidatePrecision()
-	defer e.publishSnapshot()
-	flat, err := e.sampleHost()
+	flat, opts := e.beginAnalyze()
+	if flat == nil {
+		return nil
+	}
+	h, err := bandwidth.Optimal(flat, e.d, fbs, opts)
 	if err != nil {
 		return err
+	}
+	return e.installAnalyze(h)
+}
+
+// beginAnalyze starts the n-th ANALYZE: it returns a private copy of the
+// rows of shard (n−1) mod K — the whole sample when K is 1 — and the
+// optimizer options, whose random stream Seed + 7919·n is the ANALYZE's
+// own, so the counted maintenance stream never moves. A shard that owns
+// no chunk returns a nil sample: that ANALYZE is a no-op. Both results
+// are the caller's alone, so the optimization can run with no lock held
+// (Server.Reoptimize).
+func (e *Estimator) beginAnalyze() ([]float64, bandwidth.OptimalConfig) {
+	e.analyzes++
+	n := e.analyzes
+	k, nc := e.cfg.shards(), parallel.Chunks(e.s)
+	src := e.sampleRef()
+	var flat []float64
+	// Shard (n−1) mod K owns chunks (n−1) mod K, +K, +2K, …; stepping by
+	// min(K, nc) instead ends the walk after one chunk when K ≥ nc without
+	// overflowing for any K.
+	for c := (n - 1) % k; c < nc; c += min(k, nc) {
+		lo, hi := parallel.ChunkBounds(c, e.s)
+		flat = append(flat, src[lo*e.d:hi*e.d]...)
 	}
 	opts := e.cfg.BatchOptions
 	if opts.Kernel == nil {
@@ -935,19 +978,22 @@ func (e *Estimator) Reoptimize(fbs []query.Feedback) error {
 	if opts.Loss == nil {
 		opts.Loss = e.lf
 	}
-	if opts.Rand == nil {
-		opts.Rand = e.rng
-	}
+	opts.Rand = rand.New(rand.NewSource(e.cfg.Seed + 7919*int64(n)))
 	if opts.Workers == 0 {
 		opts.Workers = e.cfg.Workers
 	}
 	if opts.Metrics == nil {
 		opts.Metrics = e.met.reg
 	}
-	h, err := bandwidth.Optimal(flat, e.d, fbs, opts)
-	if err != nil {
-		return err
-	}
+	return flat, opts
+}
+
+// installAnalyze installs an ANALYZE's bandwidth and republishes.
+func (e *Estimator) installAnalyze(h []float64) error {
+	// The tier's error profile depends on the bandwidth: force the publish
+	// to re-verify (and retry a previously refused tier).
+	e.invalidatePrecision()
+	defer e.publishSnapshot()
 	return e.SetBandwidth(h)
 }
 

@@ -104,8 +104,11 @@ func restoreFromSnapshot(snap snapshot, tab *table.Table, dev *gpu.Device) (*Est
 	if snap.Dims != tab.Dims() {
 		return nil, fmt.Errorf("core: snapshot has %d dims, table has %d", snap.Dims, tab.Dims())
 	}
-	if len(snap.Sample) == 0 || len(snap.Sample)%snap.Dims != 0 {
+	if len(snap.Sample) == 0 || len(snap.Sample)%snap.Dims != 0 || !finiteRow(snap.Sample) {
 		return nil, errors.New("core: snapshot sample is malformed")
+	}
+	if m := Mode(snap.Mode); m < Heuristic || m > Adaptive {
+		return nil, fmt.Errorf("core: unknown mode %d in snapshot", snap.Mode)
 	}
 	kern, ok := kernel.ByName(snap.KernelName)
 	if !ok {

@@ -4,12 +4,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"kdesel/internal/bandwidth"
+	"kdesel/internal/fault"
 	"kdesel/internal/mathx"
 	"kdesel/internal/metrics"
+	"kdesel/internal/parallel"
 	"kdesel/internal/query"
 	"kdesel/internal/serve"
 	"kdesel/internal/table"
@@ -78,6 +82,15 @@ func (e *Estimator) estimateBatchRaw(qs []query.Range, ests []float64) error {
 	return e.host.SelectivityBatch(qs, ests)
 }
 
+// ErrRetired reports an ANALYZE whose server was retired (Server.Retire)
+// before the result could be installed: the model was evicted, and its
+// final checkpoint does not hold the result.
+var ErrRetired = errors.New("core: model retired")
+
+// ErrAllShardsFailed reports an estimate in which fault.ShardFail struck
+// every chunk-owning shard, leaving nothing to renormalize over.
+var ErrAllShardsFailed = errors.New("core: all shards failed")
+
 // ServeConfig tunes a Server's request coalescing; the zero value enables
 // it with the serve-package defaults (batches of up to serve.DefaultMaxBatch
 // queries, serve.DefaultMaxWait fill deadline).
@@ -105,11 +118,11 @@ type ServeConfig struct {
 	// kdesel_serve=batcher for CPU-profile attribution.
 	ProfileLabel bool
 	// SerializeEstimates disables snapshot-isolated serving: every Estimate
-	// takes the writer mutex, so estimates and writer operations (Feedback,
-	// ANALYZE, Checkpoint) strictly serialize — the pre-snapshot behavior.
-	// Useful as a baseline for measuring what the snapshot path buys, and
-	// irrelevant for device-placed models (which always serialize, see
-	// snapshot.go).
+	// takes the writer mutex, so estimates and writer-locked operations
+	// (Feedback, ingest applies, Checkpoint, ANALYZE's copy and install
+	// steps) strictly serialize — the pre-snapshot behavior. Useful as a
+	// baseline for measuring what the snapshot path buys, and irrelevant
+	// for device-placed models (which always serialize, see snapshot.go).
 	SerializeEstimates bool
 	// Precision selects the numeric tier estimates are served from
 	// (default mathx.Float64, the exact pre-tier path). Float32 and
@@ -126,11 +139,12 @@ type ServeConfig struct {
 // Server wraps an Estimator for concurrent use with a single-writer /
 // lock-free-reader split. The underlying estimator is single-threaded by
 // design (learning and maintenance mutate the model); Server routes all
-// mutation — Feedback, ANALYZE (Reoptimize), Checkpoint — through one writer
-// mutex, while Estimate and coalesced batches serve from the immutable model
-// snapshot the writer publishes (snapshot.go). A multi-second bandwidth
-// re-optimization therefore never blocks the estimate path; readers see the
-// pre-ANALYZE model until the writer publishes the new one.
+// mutation — Feedback, ingest, Checkpoint, ANALYZE's install — through one
+// writer mutex, while Estimate and coalesced batches serve from the
+// immutable model snapshot the writer publishes (snapshot.go). ANALYZE
+// (Reoptimize) runs its multi-second optimization with no lock held, so it
+// blocks neither estimates nor other writers; readers see the pre-ANALYZE
+// model until the new bandwidth is installed and published.
 //
 // When coalescing is enabled, concurrent Estimate calls additionally share
 // one fused traversal of up to MaxBatch queries through a serve.Batcher.
@@ -147,13 +161,22 @@ type Server struct {
 	// Estimate must never take the writer mutex just to read the pointer.
 	b         atomic.Pointer[serve.Batcher]
 	serialize bool
+	// shardFaults routes EstimateDetail through the survivor gather: the
+	// model has K > 1 shards and a fault injector (estimateSurvivors).
+	shardFaults bool
+	// retired is set under mu by Retire; guarded by mu.
+	retired bool
 }
 
 // NewServer wraps est for concurrent serving. The caller must stop using
 // est directly — all access, including Feedback and Checkpoint, must go
 // through the returned Server or races ensue.
 func NewServer(est *Estimator, cfg ServeConfig) *Server {
-	s := &Server{est: est, serialize: cfg.SerializeEstimates}
+	s := &Server{
+		est:         est,
+		serialize:   cfg.SerializeEstimates,
+		shardFaults: est.faults != nil && est.cfg.shards() > 1,
+	}
 	// Configure the serving tier before the first publish. For serialize
 	// mode this is also the only application point: no snapshots are ever
 	// published, so the tier must be built (and verified) here for the
@@ -238,9 +261,10 @@ func (s *Server) Estimate(q query.Range) (float64, error) {
 // immediately — including while the request is parked in the coalescer's
 // queue, where the abandoned slot is reclaimed without riding a batch (see
 // serve.Batcher.EstimateContext) — and a request that would otherwise wait
-// on the writer mutex behind a long ANALYZE gives up instead. A context that
-// expires after evaluation returns the computed (and counted) estimate, so
-// Queries() accounting matches delivered results exactly.
+// on the writer mutex behind a long writer (a large feedback batch) gives
+// up instead. A context that expires after evaluation returns the computed
+// (and counted) estimate, so Queries() accounting matches delivered
+// results exactly.
 func (s *Server) EstimateContext(ctx context.Context, q query.Range) (float64, error) {
 	if err := s.est.validateQuery(q); err != nil {
 		s.est.met.invalidQueries.Inc()
@@ -265,8 +289,9 @@ func (s *Server) EstimateContext(ctx context.Context, q query.Range) (float64, e
 			return est, nil
 		}
 	}
-	// The writer mutex can be held for seconds by ANALYZE; poll the context
-	// while contending so a deadline-bound caller is never parked on it.
+	// The writer mutex can be held for seconds by a large feedback batch;
+	// poll the context while contending so a deadline-bound caller is never
+	// parked on it.
 	if err := acquireCtx(ctx, &s.mu); err != nil {
 		return 0, err
 	}
@@ -275,6 +300,78 @@ func (s *Server) EstimateContext(ctx context.Context, q query.Range) (float64, e
 		return 0, err
 	}
 	return s.est.Estimate(q)
+}
+
+// EstimateDetail is EstimateContext plus the per-request degraded flag. The
+// flag is set only on a model with K > 1 shards and a fault injector
+// (Config.Faults), where fault.ShardFail strikes: such a model answers
+// from its snapshot through estimateSurvivors, bypassing the coalescer.
+func (s *Server) EstimateDetail(ctx context.Context, q query.Range) (float64, bool, error) {
+	if !s.shardFaults {
+		est, err := s.EstimateContext(ctx, q)
+		return est, false, err
+	}
+	return s.estimateSurvivors(ctx, q)
+}
+
+// estimateSurvivors fires fault.ShardFail once per chunk-owning shard, in
+// shard-index order, then sums the snapshot's per-chunk partials in chunk
+// order, skipping the chunks of failed shards, and divides by the rows
+// that survived. With no shard lost this is the float-addition sequence of
+// the plain estimate, bit for bit. A lost shard degrades the model's
+// health and flags the request; losing every shard is ErrAllShardsFailed.
+func (s *Server) estimateSurvivors(ctx context.Context, q query.Range) (float64, bool, error) {
+	e := s.est
+	if err := e.validateQuery(q); err != nil {
+		e.met.invalidQueries.Inc()
+		return 0, false, err
+	}
+	ms := e.snap.Load()
+	if ms == nil { // no snapshot (device-placed, or SerializeEstimates)
+		est, err := s.EstimateContext(ctx, q)
+		return est, false, err
+	}
+	k, size := e.cfg.shards(), ms.view.Size()
+	nc := parallel.Chunks(size)
+	owners := min(k, nc) // shards that own a chunk: chunk c is shard c mod K's
+	failed := make([]bool, owners)
+	lost := 0
+	for i := 0; i < owners; i++ {
+		if e.faults.Fire(fault.ShardFail) {
+			failed[i] = true
+			lost++
+		}
+	}
+	if err := ctx.Err(); err != nil {
+		return 0, false, err
+	}
+	if lost == owners {
+		return 0, false, fmt.Errorf("%w (%d of %d)", ErrAllShardsFailed, lost, owners)
+	}
+	partials := make([]float64, nc)
+	if err := ms.view.SelectivityBatchPartials([]query.Range{q}, partials); err != nil {
+		return 0, false, err
+	}
+	sum, rows := 0.0, 0
+	for c, p := range partials {
+		if !failed[c%k] {
+			lo, hi := parallel.ChunkBounds(c, size)
+			sum += p
+			rows += hi - lo
+		}
+	}
+	est := sum / float64(rows)
+	if math.IsNaN(est) || math.IsInf(est, 0) {
+		est, err := s.EstimateContext(ctx, q) // the writer's recovery ladder
+		return est, false, err
+	}
+	e.queries.Add(1)
+	if lost > 0 {
+		s.mu.Lock()
+		e.setHealth(Degraded, "shard lost during scatter; serving from survivors")
+		s.mu.Unlock()
+	}
+	return clamp01(est), lost > 0, nil
 }
 
 // acquireCtx locks mu unless ctx expires first. sync.Mutex has no native
@@ -325,13 +422,44 @@ func (s *Server) FeedbackBatch(fbs []query.Feedback) error {
 }
 
 // Reoptimize re-runs the batch bandwidth optimization over fresh feedback —
-// the ANALYZE step — under the writer lock. Concurrent estimates keep
-// serving the pre-ANALYZE snapshot throughout; the re-optimized model
-// becomes visible when the writer publishes it at completion.
+// the ANALYZE step. Only its two short steps take the writer lock: copying
+// the rows it optimizes over (Estimator.beginAnalyze) and installing the
+// result. The optimization between them holds no lock, so estimates,
+// feedback, ingest and checkpoints all proceed; an eviction that retires
+// the server meanwhile (Retire) makes the install fail with ErrRetired
+// instead of changing a model whose final checkpoint is already written.
 func (s *Server) Reoptimize(fbs []query.Feedback) error {
 	s.mu.Lock()
+	flat, opts := s.est.beginAnalyze()
+	s.mu.Unlock()
+	if flat == nil {
+		return nil
+	}
+	h, err := bandwidth.Optimal(flat, s.est.d, fbs, opts)
+	if err != nil {
+		return err
+	}
+	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.est.Reoptimize(fbs)
+	if s.retired {
+		return ErrRetired
+	}
+	return s.est.installAnalyze(h)
+}
+
+// Retire writes the model's final checkpoint to path and retires the
+// server: every later ANALYZE install fails with ErrRetired (see
+// Reoptimize). The model registry retires a model it evicts. On a
+// checkpoint error the server stays live. Estimates keep serving either
+// way (see Close).
+func (s *Server) Retire(path string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.est.Checkpoint(path); err != nil {
+		return err
+	}
+	s.retired = true
+	return nil
 }
 
 // Checkpoint atomically persists the model; see Estimator.Checkpoint.
@@ -414,9 +542,11 @@ func (s *Server) ActivePrecision() mathx.Precision {
 }
 
 // Health returns the estimator's degradation state. Lock-free: the state is
-// atomic, so readiness probes never block behind a long ANALYZE holding the
-// writer mutex.
+// atomic, so readiness probes never block behind a long writer.
 func (s *Server) Health() Health { return s.est.Health() }
+
+// Shards returns K (Config.Shards, at least 1).
+func (s *Server) Shards() int { return s.est.cfg.shards() }
 
 // Queries returns the number of estimates served. Lock-free: the counter is
 // atomic because snapshot-path estimates bump it without the writer lock.
@@ -426,7 +556,7 @@ func (s *Server) Queries() int { return s.est.Queries() }
 // and unregisters the coalescer's queue-depth gauge. The Server itself
 // remains fully usable: Estimate falls back to the snapshot (or writer-
 // mutex) path, and Feedback/Reoptimize/Checkpoint are unaffected — Close
-// only retires the coalescer, e.g. before process shutdown or when the
+// only stops the coalescer, e.g. before process shutdown or when the
 // model registry evicts a model. The wrapped estimator likewise remains
 // valid for direct single-threaded use after Close returns.
 func (s *Server) Close() {

@@ -41,7 +41,7 @@ type IngestLoadConfig struct {
 	Rows int
 	// SampleSize is the model's KDE sample size (default 1024).
 	SampleSize int
-	// Shards is the group's partition count; 0 or 1 serve unsharded
+	// Shards is the model's shard count K; 0 or 1 mean one shard
 	// (default 0).
 	Shards int
 	// Clients is the closed-loop estimate client count (default 2).

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"kdesel/internal/core"
@@ -208,260 +207,10 @@ func (r *ThroughputResult) WriteTable(w io.Writer) {
 	}
 }
 
-// AnalyzeLoadConfig parameterizes the closed-loop ANALYZE-under-load
-// experiment: concurrent clients keep estimating while a writer fires
-// Reoptimize (the ANALYZE step) mid-run, and the estimate latency tail is
-// measured inside the ANALYZE windows. Run twice — once with every estimate
-// serialized behind the writer mutex (the pre-snapshot behavior) and once
-// serving from the published snapshot — the p99 ratio is what snapshot
-// isolation buys.
-type AnalyzeLoadConfig struct {
-	// Dims is the table dimensionality (default 4).
-	Dims int
-	// SampleSize is the KDE model size (default 2048) — also the main knob
-	// for how long one ANALYZE holds the writer lock.
-	SampleSize int
-	// Rows in the synthetic table (default SampleSize + 1000).
-	Rows int
-	// Clients is the closed-loop estimate client count (default 8).
-	Clients int
-	// Feedback is the ANALYZE training-set size (default 100).
-	Feedback int
-	// Rounds is how many ANALYZE passes the writer fires per run (default 3).
-	Rounds int
-	// MaxBatch and MaxWait tune the coalescer (defaults as in ServeConfig;
-	// MaxBatch ≤ 1 disables coalescing so each estimate takes the direct path).
-	MaxBatch int
-	MaxWait  time.Duration
-	// Seed drives all randomness.
-	Seed int64
-	// Metrics, when non-nil, instruments the snapshot-path run; the result
-	// carries a final registry snapshot.
-	Metrics *metrics.Registry
-}
-
-func (c AnalyzeLoadConfig) withDefaults() AnalyzeLoadConfig {
-	if c.Dims <= 0 {
-		c.Dims = 4
-	}
-	if c.SampleSize <= 0 {
-		c.SampleSize = 2048
-	}
-	if c.Rows <= 0 {
-		c.Rows = c.SampleSize + 1000
-	}
-	if c.Clients <= 0 {
-		c.Clients = 8
-	}
-	if c.Feedback <= 0 {
-		c.Feedback = 100
-	}
-	if c.Rounds <= 0 {
-		c.Rounds = 3
-	}
-	return c
-}
-
-// AnalyzeLoadPoint is one run of the experiment: estimate-latency tail
-// statistics over the queries that completed entirely inside an ANALYZE
-// window, for one serving configuration.
-type AnalyzeLoadPoint struct {
-	Serialized    bool          // true: estimates serialized behind the writer mutex
-	Queries       int           // estimates completed over the whole run
-	During        int           // estimates whose lifetime overlapped an ANALYZE window
-	P50, P99, Max time.Duration // latency of the During population
-	AnalyzeRounds int
-	AnalyzeTotal  time.Duration // cumulative wall time spent inside Reoptimize
-}
-
-// AnalyzeLoadResult pairs the serialized baseline with the snapshot-path
-// run over the identical workload.
-type AnalyzeLoadResult struct {
-	Config     AnalyzeLoadConfig
-	Serialized AnalyzeLoadPoint
-	Snapshot   AnalyzeLoadPoint
-	// Speedup is serialized p99 / snapshot p99 inside ANALYZE windows — the
-	// acceptance figure for snapshot isolation (≥ 10× expected: serialized
-	// estimates queue behind the full re-optimization, snapshot estimates
-	// keep serving the pre-ANALYZE model).
-	Speedup float64
-	Metrics *metrics.Snapshot
-}
-
-// AnalyzeUnderLoad runs the closed-loop experiment twice over one table and
-// workload: serialized baseline first, then snapshot-isolated serving.
-func AnalyzeUnderLoad(cfg AnalyzeLoadConfig) (*AnalyzeLoadResult, error) {
-	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed + 17))
-	ds := datagen.Synthetic(rng, cfg.Rows, cfg.Dims, 10, 0.1)
-	tab, err := table.New(cfg.Dims)
-	if err != nil {
-		return nil, err
-	}
-	if err := tab.InsertMany(ds.Rows); err != nil {
-		return nil, err
-	}
-	// ANALYZE training set: true selectivities over a generated workload.
-	trng := rand.New(rand.NewSource(cfg.Seed + 29))
-	tqs, err := workload.Generate(tab, workload.UV, cfg.Feedback, workload.Config{}, trng)
-	if err != nil {
-		return nil, err
-	}
-	train := make([]query.Feedback, len(tqs))
-	for i, q := range tqs {
-		actual, err := tab.Selectivity(q)
-		if err != nil {
-			return nil, err
-		}
-		train[i] = query.Feedback{Query: q, Actual: actual}
-	}
-	// Per-client query streams, identical across both runs.
-	streams := make([][]query.Range, cfg.Clients)
-	for c := range streams {
-		qrng := rand.New(rand.NewSource(cfg.Seed + int64(2000+c)))
-		qs, err := workload.Generate(tab, workload.UV, 256, workload.Config{}, qrng)
-		if err != nil {
-			return nil, err
-		}
-		streams[c] = qs
-	}
-
-	res := &AnalyzeLoadResult{Config: cfg}
-	for _, serialize := range []bool{true, false} {
-		var reg *metrics.Registry
-		if !serialize {
-			reg = cfg.Metrics
-		}
-		pt, err := analyzeLoadRun(cfg, tab, train, streams, serialize, reg)
-		if err != nil {
-			return nil, err
-		}
-		if serialize {
-			res.Serialized = *pt
-		} else {
-			res.Snapshot = *pt
-		}
-	}
-	if res.Snapshot.P99 > 0 {
-		res.Speedup = float64(res.Serialized.P99) / float64(res.Snapshot.P99)
-	}
-	res.Metrics = snapshotOf(cfg.Metrics)
-	return res, nil
-}
-
 // latSample is one client estimate: when it was issued and how long it took.
 type latSample struct {
 	start time.Time
 	lat   time.Duration
-}
-
-// analyzeLoadRun is one serving configuration: clients estimate in a closed
-// loop while the writer fires cfg.Rounds ANALYZE passes, recording each
-// pass's wall-clock window. A latency counts as "during ANALYZE" when the
-// estimate's lifetime overlaps a window — which captures the serialized
-// pathology, where an estimate issued just before ANALYZE blocks on the
-// writer mutex for the whole pass and completes after the window closes.
-func analyzeLoadRun(cfg AnalyzeLoadConfig, tab *table.Table, train []query.Feedback,
-	streams [][]query.Range, serialize bool, reg *metrics.Registry) (*AnalyzeLoadPoint, error) {
-	est, err := core.Build(tab, core.Config{
-		Mode:       core.Heuristic,
-		SampleSize: cfg.SampleSize,
-		Seed:       cfg.Seed,
-		Metrics:    reg,
-	})
-	if err != nil {
-		return nil, err
-	}
-	srv := core.NewServer(est, core.ServeConfig{
-		MaxBatch:           cfg.MaxBatch,
-		MaxWait:            cfg.MaxWait,
-		Metrics:            reg,
-		SerializeEstimates: serialize,
-	})
-
-	var (
-		served   atomic.Int64
-		stop     = make(chan struct{})
-		wg       sync.WaitGroup
-		firstErr error
-		errOnce  sync.Once
-	)
-	perClient := make([][]latSample, cfg.Clients)
-	for c := 0; c < cfg.Clients; c++ {
-		c := c
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			qs := streams[c]
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				q := qs[i%len(qs)]
-				t0 := time.Now()
-				if _, err := srv.Estimate(q); err != nil {
-					errOnce.Do(func() { firstErr = err })
-					return
-				}
-				perClient[c] = append(perClient[c], latSample{start: t0, lat: time.Since(t0)})
-				served.Add(1)
-			}
-		}()
-	}
-
-	// Writer: wait for the client loops to warm up, then fire the ANALYZE
-	// rounds with a served-traffic gap between them so the run also samples
-	// quiescent latencies.
-	waitServed := func(target int64) {
-		for served.Load() < target {
-			time.Sleep(100 * time.Microsecond)
-		}
-	}
-	type window struct{ from, to time.Time }
-	var windows []window
-	pt := &AnalyzeLoadPoint{Serialized: serialize, AnalyzeRounds: cfg.Rounds}
-	waitServed(int64(2 * cfg.Clients))
-	for r := 0; r < cfg.Rounds; r++ {
-		t0 := time.Now()
-		err = srv.Reoptimize(train)
-		t1 := time.Now()
-		windows = append(windows, window{from: t0, to: t1})
-		pt.AnalyzeTotal += t1.Sub(t0)
-		if err != nil {
-			break
-		}
-		waitServed(served.Load() + int64(2*cfg.Clients))
-	}
-	close(stop)
-	wg.Wait()
-	srv.Close()
-	if err != nil {
-		return nil, err
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-
-	var during []time.Duration
-	for _, samples := range perClient {
-		pt.Queries += len(samples)
-		for _, s := range samples {
-			end := s.start.Add(s.lat)
-			for _, w := range windows {
-				if s.start.Before(w.to) && end.After(w.from) {
-					during = append(during, s.lat)
-					break
-				}
-			}
-		}
-	}
-	pt.During = len(during)
-	pt.P50 = percentileDuration(during, 0.50)
-	pt.P99 = percentileDuration(during, 0.99)
-	pt.Max = percentileDuration(during, 1.0)
-	return pt, nil
 }
 
 // percentileDuration returns the p-quantile of lats by nearest-rank over the
@@ -479,21 +228,4 @@ func percentileDuration(lats []time.Duration, p float64) time.Duration {
 		idx = len(lats) - 1
 	}
 	return lats[idx]
-}
-
-// WriteTable renders the paired runs and the p99 speedup.
-func (r *AnalyzeLoadResult) WriteTable(w io.Writer) {
-	fmt.Fprintf(w, "ANALYZE under load: d=%d, model=%d points, %d clients, %d-feedback ANALYZE × %d\n",
-		r.Config.Dims, r.Config.SampleSize, r.Config.Clients, r.Config.Feedback, r.Config.Rounds)
-	fmt.Fprintf(w, "%12s  %9s  %8s  %12s  %12s  %12s  %14s\n",
-		"serving", "queries", "during", "p50", "p99", "max", "analyze total")
-	for _, p := range []AnalyzeLoadPoint{r.Serialized, r.Snapshot} {
-		name := "snapshot"
-		if p.Serialized {
-			name = "serialized"
-		}
-		fmt.Fprintf(w, "%12s  %9d  %8d  %12s  %12s  %12s  %14s\n",
-			name, p.Queries, p.During, p.P50, p.P99, p.Max, p.AnalyzeTotal.Round(time.Millisecond))
-	}
-	fmt.Fprintf(w, "p99 speedup inside ANALYZE windows: %.1f×\n", r.Speedup)
 }

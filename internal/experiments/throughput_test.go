@@ -49,50 +49,6 @@ func TestThroughputShape(t *testing.T) {
 	}
 }
 
-func TestAnalyzeUnderLoadShape(t *testing.T) {
-	reg := metrics.New()
-	res, err := AnalyzeUnderLoad(AnalyzeLoadConfig{
-		SampleSize: 512,
-		Clients:    4,
-		Feedback:   20,
-		Rounds:     2,
-		MaxWait:    20 * time.Microsecond,
-		Seed:       9,
-		Metrics:    reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []AnalyzeLoadPoint{res.Serialized, res.Snapshot} {
-		if p.Queries == 0 {
-			t.Errorf("serialized=%v: no queries served", p.Serialized)
-		}
-		if p.During == 0 {
-			t.Errorf("serialized=%v: no estimates landed inside an ANALYZE window", p.Serialized)
-		}
-		if p.AnalyzeRounds != 2 || p.AnalyzeTotal <= 0 {
-			t.Errorf("serialized=%v: analyze accounting %d rounds, %v total", p.Serialized, p.AnalyzeRounds, p.AnalyzeTotal)
-		}
-		if p.P99 < p.P50 || p.Max < p.P99 {
-			t.Errorf("serialized=%v: tail out of order p50=%v p99=%v max=%v", p.Serialized, p.P50, p.P99, p.Max)
-		}
-	}
-	// The snapshot path must not queue estimates behind ANALYZE; even at
-	// test scale the serialized tail should be visibly worse.
-	if res.Speedup <= 1 {
-		t.Errorf("p99 speedup = %.2f, want > 1 (serialized %v vs snapshot %v)",
-			res.Speedup, res.Serialized.P99, res.Snapshot.P99)
-	}
-	if res.Metrics == nil {
-		t.Error("metrics snapshot missing")
-	}
-	var buf bytes.Buffer
-	res.WriteTable(&buf)
-	if !strings.Contains(buf.String(), "speedup") {
-		t.Error("analyze-under-load table missing speedup line")
-	}
-}
-
 func TestThroughputUncoalesced(t *testing.T) {
 	res, err := Throughput(ThroughputConfig{
 		SampleSize:       256,

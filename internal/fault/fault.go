@@ -64,11 +64,11 @@ const (
 	// occurrence.
 	NetDelay Point = "netdelay"
 
-	// ShardFail fails one shard of a sharded estimator during scatter, so
-	// the gather path's partial-failure degradation (serve from the
-	// surviving shards, renormalized, flagged Degraded) can be exercised
-	// deterministically. Occurrences count per-shard scatter attempts in
-	// shard-index order within each gather.
+	// ShardFail fails one shard of a sharded model's estimate
+	// (core.Server.EstimateDetail), so the partial-failure degradation
+	// (serve from the surviving shards' chunks, renormalized, flagged
+	// Degraded) can be exercised deterministically. Occurrences count one
+	// attempt per chunk-owning shard, in shard-index order, per estimate.
 	ShardFail Point = "shard"
 )
 

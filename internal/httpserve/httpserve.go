@@ -40,7 +40,9 @@
 //	429 shed            admission queue full (Retry-After set)
 //	500 internal        estimator failure
 //	500 injected        fault-injected 5xx (chaos testing)
-//	503 draining        server draining or registry closed (Retry-After set)
+//	503 draining        server draining, registry closed, or model evicted
+//	                    during its ANALYZE (Retry-After set)
+//	503 shards_failed   fault injection failed every shard of a model
 //	504 deadline        per-request deadline expired before evaluation
 package httpserve
 
@@ -60,7 +62,6 @@ import (
 	"kdesel/internal/metrics"
 	"kdesel/internal/query"
 	"kdesel/internal/registry"
-	"kdesel/internal/shard"
 )
 
 // Defaults for the admission and deadline knobs; see Config.
@@ -484,11 +485,13 @@ func (s *Server) writeModelErr(w http.ResponseWriter, err error) {
 	case errors.Is(err, core.ErrInvalidQuery), errors.Is(err, core.ErrInvalidFeedback):
 		s.met.failed.Inc()
 		s.writeErr(w, http.StatusBadRequest, "invalid_query", err.Error())
-	case errors.Is(err, registry.ErrClosed), errors.Is(err, shard.ErrClosed):
+	case errors.Is(err, registry.ErrClosed), errors.Is(err, core.ErrRetired):
+		// The registry is closing, or the model was evicted while its
+		// ANALYZE optimized.
 		s.met.rejected.Inc()
-		s.writeErr(w, http.StatusServiceUnavailable, "draining", "model registry closed")
-	case errors.Is(err, shard.ErrAllShardsFailed):
-		// Every shard of a sharded model failed the scatter: nothing to
+		s.writeErr(w, http.StatusServiceUnavailable, "draining", err.Error())
+	case errors.Is(err, core.ErrAllShardsFailed):
+		// fault.ShardFail struck every shard of a sharded model: nothing to
 		// renormalize over, so the request cannot be served at all.
 		s.met.failed.Inc()
 		s.writeErr(w, http.StatusServiceUnavailable, "shards_failed", err.Error())
@@ -512,7 +515,7 @@ type estimateRequest struct {
 }
 
 // estimateResponse is the wire form of a successful estimate. Degraded is
-// set when a sharded model lost one or more shards during the scatter and
+// set when a sharded model lost one or more shards to fault injection and
 // the selectivity is the renormalized survivor estimate.
 type estimateResponse struct {
 	Model       string  `json:"model"`
@@ -560,14 +563,17 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, estimateResponse{Model: key.String(), Selectivity: sel, Degraded: degraded})
 }
 
-// feedbackRequest is the wire form of POST /feedback. Feedback is NOT
-// idempotent — each delivery is one learning observation — so the protocol
-// contract is that clients never retry it (httpclient enforces this).
+// feedbackRequest is the wire form of POST /feedback: one observation, or
+// with Feedback a batch the model folds in under one hold of its writer
+// lock (registry.FeedbackBatch). Feedback is NOT idempotent — each
+// delivery is one learning observation — so the protocol contract is that
+// clients never retry it (httpclient enforces this).
 type feedbackRequest struct {
-	Model  string    `json:"model,omitempty"`
-	Lo     []float64 `json:"lo"`
-	Hi     []float64 `json:"hi"`
-	Actual float64   `json:"actual"`
+	Model    string            `json:"model,omitempty"`
+	Lo       []float64         `json:"lo"`
+	Hi       []float64         `json:"hi"`
+	Actual   float64           `json:"actual"`
+	Feedback []feedbackElement `json:"feedback,omitempty"`
 }
 
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
@@ -587,7 +593,12 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
-	if err := s.reg.Feedback(key, query.NewRange(req.Lo, req.Hi), req.Actual); err != nil {
+	if len(req.Feedback) > 0 {
+		err = s.reg.FeedbackBatch(key, feedbackBatch(req.Feedback))
+	} else {
+		err = s.reg.Feedback(key, query.NewRange(req.Lo, req.Hi), req.Actual)
+	}
+	if err != nil {
 		s.writeModelErr(w, err)
 		return
 	}
@@ -697,6 +708,14 @@ type feedbackElement struct {
 	Actual float64   `json:"actual"`
 }
 
+func feedbackBatch(fes []feedbackElement) []query.Feedback {
+	fbs := make([]query.Feedback, len(fes))
+	for i, f := range fes {
+		fbs[i] = query.Feedback{Query: query.NewRange(f.Lo, f.Hi), Actual: f.Actual}
+	}
+	return fbs
+}
+
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if !s.enter(w) {
 		return
@@ -714,10 +733,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
-	fbs := make([]query.Feedback, len(req.Feedback))
-	for i, f := range req.Feedback {
-		fbs[i] = query.Feedback{Query: query.NewRange(f.Lo, f.Hi), Actual: f.Actual}
-	}
+	fbs := feedbackBatch(req.Feedback)
 	if r.URL.Query().Get("sync") == "1" {
 		if err := s.reg.Analyze(key, fbs); err != nil {
 			s.writeModelErr(w, err)

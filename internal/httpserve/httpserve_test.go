@@ -407,11 +407,11 @@ func TestDeadlinePropagatesToModel(t *testing.T) {
 	reg := registry.New(registry.Config{})
 	defer reg.Close()
 	key := registry.NewKey("t", 0, 1)
-	tab := buildTable(t, 300, 2, 3)
+	tab := buildTable(t, 4000, 2, 3)
 	// SerializeEstimates + no coalescer: every estimate needs the writer
-	// mutex, so a long ANALYZE blocks the estimate path — the worst case
+	// mutex, so a long writer blocks the estimate path — the worst case
 	// deadline propagation exists for.
-	err := reg.Admit(key, tab, core.Config{Mode: core.Heuristic, SampleSize: 128, Seed: 7, DisableMaintenance: true},
+	err := reg.Admit(key, tab, core.Config{Mode: core.Adaptive, SampleSize: 2048, Seed: 7, DisableMaintenance: true},
 		core.ServeConfig{MaxBatch: -1, SerializeEstimates: true})
 	if err != nil {
 		t.Fatal(err)
@@ -424,12 +424,13 @@ func TestDeadlinePropagatesToModel(t *testing.T) {
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
-	// Wedge the writer with a slow synchronous ANALYZE over a large
-	// feedback batch, then race a deadline-bound estimate against it.
+	// Wedge the writer with a large synchronous feedback batch, which the
+	// model folds in under one hold of its writer lock, then race a
+	// deadline-bound estimate against it.
 	var fb strings.Builder
 	fb.WriteString(`{"model":"t(0,1)","feedback":[`)
 	rng := rand.New(rand.NewSource(9))
-	for i := 0; i < 300; i++ {
+	for i := 0; i < 3000; i++ {
 		if i > 0 {
 			fb.WriteByte(',')
 		}
@@ -437,32 +438,29 @@ func TestDeadlinePropagatesToModel(t *testing.T) {
 		fmt.Fprintf(&fb, `{"lo":[%.3f,%.3f],"hi":[%.3f,%.3f],"actual":0.2}`, a, a, a+2, a+2)
 	}
 	fb.WriteString(`]}`)
-	analyzeDone := make(chan struct{})
+	feedbackDone := make(chan int, 1)
 	go func() {
-		defer close(analyzeDone)
-		postJSON(t, ts.URL+"/analyze?sync=1&timeout_ms=60000", fb.String())
+		resp, _ := postJSON(t, ts.URL+"/feedback?timeout_ms=120000", fb.String())
+		feedbackDone <- resp.StatusCode
 	}()
 
-	deadline := time.After(10 * time.Second)
-	sawDeadline := false
-	for !sawDeadline {
+	for {
 		select {
-		case <-deadline:
-			t.Log("ANALYZE finished too fast to observe a 504; treating as inconclusive pass")
-			sawDeadline = true
-		case <-analyzeDone:
-			t.Skip("ANALYZE completed before a deadline-bound estimate could contend")
+		case code := <-feedbackDone:
+			t.Fatalf("feedback batch finished (status %d) before a deadline-bound estimate saw a 504", code)
 		default:
-			resp, b := postJSON(t, ts.URL+"/estimate?timeout_ms=30", `{"model":"t(0,1)","lo":[-2,-2],"hi":[8,8]}`)
-			if resp.StatusCode == http.StatusGatewayTimeout {
-				if code := errCode(t, b); code != "deadline" {
-					t.Fatalf("504 with code %s", code)
-				}
-				sawDeadline = true
+		}
+		resp, b := postJSON(t, ts.URL+"/estimate?timeout_ms=30", `{"model":"t(0,1)","lo":[-2,-2],"hi":[8,8]}`)
+		if resp.StatusCode == http.StatusGatewayTimeout {
+			if code := errCode(t, b); code != "deadline" {
+				t.Fatalf("504 with code %s", code)
 			}
+			break
 		}
 	}
-	<-analyzeDone
+	if code := <-feedbackDone; code != http.StatusNoContent {
+		t.Fatalf("feedback batch: status %d, want 204", code)
+	}
 }
 
 func TestNewRequiresRegistry(t *testing.T) {

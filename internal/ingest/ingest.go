@@ -11,8 +11,8 @@
 // (the table mutator, inside its listener callback) parks until the
 // applier frees slots, so maintenance lag is bounded by the ring size.
 // Because a parked producer holds the table's notification lock, the
-// apply path (core.Estimator.ApplyMutations, shard.Group.ApplyMutations)
-// deliberately never takes table locks — see applyDelete in both.
+// apply path (core.Estimator.ApplyMutations) deliberately never takes
+// table locks — see its applyDelete.
 //
 // The bridge also assigns each event its 1-based feed sequence number,
 // which the model records as its ingest cursor and checkpoints. On
@@ -39,7 +39,7 @@ import (
 )
 
 // Applier is the synchronized model entry point the bridge feeds.
-// core.Server, shard.Group and registry adapters implement it. A call
+// core.Server and the registry adapter implement it. A call
 // applies the batch under the model's writer lock and republishes the
 // serving snapshot at most once. Appliers must not call back into the
 // table: they run while table mutators may be parked on ring backpressure.

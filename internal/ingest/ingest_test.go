@@ -15,7 +15,6 @@ import (
 	"kdesel/internal/metrics"
 	"kdesel/internal/query"
 	"kdesel/internal/registry"
-	"kdesel/internal/shard"
 	"kdesel/internal/table"
 	"kdesel/internal/workload"
 )
@@ -341,13 +340,22 @@ func estimateBits(t *testing.T, est interface {
 // issue, unsharded half: delivering one mutation stream through
 // ApplyMutations in any batch partition yields a bit-identical model to
 // one-at-a-time application, at every worker count.
-func TestIngestBatchedApplyBitIdenticalCore(t *testing.T) {
+func TestIngestBatchedApplyBitIdenticalCore(t *testing.T) { batchedApplyBitIdentical(t, 1) }
+
+// TestIngestBatchedApplyBitIdenticalSharded is the sharded half: the same
+// property for models with K = 2 and 4 shards.
+func TestIngestBatchedApplyBitIdenticalSharded(t *testing.T) {
+	for _, k := range []int{2, 4} {
+		batchedApplyBitIdentical(t, k)
+	}
+}
+
+func batchedApplyBitIdentical(t *testing.T, shards int) {
 	const d = 3
 	tab := testTable(t, 400, d, 11)
 	stream := synthStream(tab, 240, 12)
 	qs := testQueries(12, d, 13)
-	cfg := core.Config{Mode: core.Adaptive, SampleSize: 128, Seed: 7}
-
+	cfg := core.Config{Mode: core.Adaptive, SampleSize: 128, Seed: 7, Shards: shards}
 	build := func() *core.Estimator {
 		est, err := core.Build(tab, cfg)
 		if err != nil {
@@ -379,74 +387,19 @@ func TestIngestBatchedApplyBitIdenticalCore(t *testing.T) {
 			est.SetWorkers(workers)
 			apply(est, batch)
 			if got := est.IngestCursor(); got != ref.IngestCursor() {
-				t.Fatalf("workers=%d batch=%d: cursor %d != %d", workers, batch, got, ref.IngestCursor())
+				t.Fatalf("K=%d workers=%d batch=%d: cursor %d != %d", shards, workers, batch, got, ref.IngestCursor())
 			}
 			for j, bw := range est.Bandwidth() {
 				if math.Float64bits(bw) != math.Float64bits(refBW[j]) {
-					t.Fatalf("workers=%d batch=%d: bandwidth[%d] %v != %v", workers, batch, j, bw, refBW[j])
+					t.Fatalf("K=%d workers=%d batch=%d: bandwidth[%d] %v != %v", shards, workers, batch, j, bw, refBW[j])
 				}
 			}
 			bits := estimateBits(t, est, qs)
 			for i := range bits {
 				if bits[i] != refBits[i] {
-					t.Fatalf("workers=%d batch=%d query=%d: estimate bits %x != %x",
-						workers, batch, i, bits[i], refBits[i])
+					t.Fatalf("K=%d workers=%d batch=%d query=%d: estimate bits %x != %x",
+						shards, workers, batch, i, bits[i], refBits[i])
 				}
-			}
-		}
-	}
-}
-
-// TestIngestBatchedApplyBitIdenticalSharded is the sharded half of the
-// property test: for every shard count K and worker count, batched apply
-// is bit-identical to one-at-a-time.
-func TestIngestBatchedApplyBitIdenticalSharded(t *testing.T) {
-	const d = 3
-	tab := testTable(t, 400, d, 21)
-	stream := synthStream(tab, 180, 22)
-	qs := testQueries(10, d, 23)
-
-	for _, k := range []int{1, 2, 4} {
-		for _, workers := range []int{1, 2} {
-			cfg := shard.Config{Shards: k, SampleSize: 128, Seed: 9, Workers: workers}
-			build := func() *shard.Group {
-				g, err := shard.Build(tab, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				g.Detach()
-				return g
-			}
-			ref := build()
-			defer ref.Close()
-			for i := range stream {
-				if err := ref.ApplyMutations(stream[i : i+1]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			refBits := estimateBits(t, ref, qs)
-			for _, batch := range []int{13, len(stream)} {
-				g := build()
-				for lo := 0; lo < len(stream); lo += batch {
-					hi := lo + batch
-					if hi > len(stream) {
-						hi = len(stream)
-					}
-					if err := g.ApplyMutations(stream[lo:hi]); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if got := g.IngestCursor(); got != ref.IngestCursor() {
-					t.Fatalf("K=%d workers=%d batch=%d: cursor %d != %d", k, workers, batch, got, ref.IngestCursor())
-				}
-				bits := estimateBits(t, g, qs)
-				for i := range bits {
-					if bits[i] != refBits[i] {
-						t.Fatalf("K=%d workers=%d batch=%d query=%d: estimate bits %x != %x",
-							k, workers, batch, i, bits[i], refBits[i])
-					}
-				}
-				g.Close()
 			}
 		}
 	}
@@ -457,12 +410,18 @@ func TestIngestBatchedApplyBitIdenticalSharded(t *testing.T) {
 // restored cursor, and checks the result is bit-identical to a model that
 // never stopped.
 func TestIngestExactlyOnceRestoreCore(t *testing.T) {
-	const (
-		d, nOps = 3, 300
-		opSeed  = 31
-	)
-	cfg := core.Config{Mode: core.Adaptive, SampleSize: 128, Seed: 17}
-	qs := testQueries(12, d, 33)
+	exactlyOnceRestore(t, core.Config{Mode: core.Adaptive, SampleSize: 128, Seed: 17}, 30, 31, 300)
+}
+
+// TestIngestExactlyOnceRestoreSharded is the same round-trip through the
+// checkpoint of a model with K = 4 shards.
+func TestIngestExactlyOnceRestoreSharded(t *testing.T) {
+	exactlyOnceRestore(t, core.Config{Mode: core.Adaptive, Shards: 4, SampleSize: 128, Seed: 19}, 40, 41, 240)
+}
+
+func exactlyOnceRestore(t *testing.T, cfg core.Config, tabSeed, opSeed int64, nOps int) {
+	const d = 3
+	qs := testQueries(12, d, opSeed+2)
 
 	attach := func(tab *table.Table, icfg ingest.Config) (*core.Server, *ingest.Bridge) {
 		est, err := core.Build(tab, cfg)
@@ -479,7 +438,7 @@ func TestIngestExactlyOnceRestoreCore(t *testing.T) {
 	}
 
 	// Uninterrupted reference run.
-	tabRef := testTable(t, 400, d, 30)
+	tabRef := testTable(t, 400, d, tabSeed)
 	srvRef, brRef := attach(tabRef, ingest.Config{MaxBatch: 16})
 	driveOps(t, tabRef, rand.New(rand.NewSource(opSeed)), nOps)
 	if err := brRef.Close(); err != nil {
@@ -488,7 +447,7 @@ func TestIngestExactlyOnceRestoreCore(t *testing.T) {
 	refBits := estimateBits(t, srvRef, qs)
 
 	// Interrupted run: checkpoint halfway.
-	tabA := testTable(t, 400, d, 30)
+	tabA := testTable(t, 400, d, tabSeed)
 	srvA, brA := attach(tabA, ingest.Config{MaxBatch: 16})
 	opRng := rand.New(rand.NewSource(opSeed))
 	half := driveOps(t, tabA, opRng, nOps/2)
@@ -508,13 +467,16 @@ func TestIngestExactlyOnceRestoreCore(t *testing.T) {
 
 	// Crash recovery: fresh table, restore the checkpoint, replay the FULL
 	// op stream; events at or below the cursor must be skipped.
-	tabB := testTable(t, 400, d, 30)
+	tabB := testTable(t, 400, d, tabSeed)
 	est, err := core.RestoreCheckpoint(path, tabB, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	srvB := core.NewServer(est, core.ServeConfig{MaxBatch: 1})
 	srvB.DetachFeed()
+	if srvB.Shards() != srvA.Shards() {
+		t.Fatalf("restored %d shards, want %d", srvB.Shards(), srvA.Shards())
+	}
 	brB, err := ingest.Attach(tabB, srvB, ingest.Config{
 		MaxBatch: 16, Cursor: srvB.IngestCursor(), Replay: true,
 	})
@@ -532,83 +494,6 @@ func TestIngestExactlyOnceRestoreCore(t *testing.T) {
 		t.Fatalf("restored cursor %d, want %d", got, want)
 	}
 	bits := estimateBits(t, srvB, qs)
-	for i := range bits {
-		if bits[i] != refBits[i] {
-			t.Fatalf("query %d: restored estimate bits %x != uninterrupted %x", i, bits[i], refBits[i])
-		}
-	}
-}
-
-// TestIngestExactlyOnceRestoreSharded is the same round-trip through a
-// shard group's checkpoint frames.
-func TestIngestExactlyOnceRestoreSharded(t *testing.T) {
-	const (
-		d, nOps = 3, 240
-		opSeed  = 41
-	)
-	cfg := shard.Config{Shards: 4, SampleSize: 128, Seed: 19}
-	qs := testQueries(10, d, 43)
-
-	attach := func(tab *table.Table, g *shard.Group, icfg ingest.Config) *ingest.Bridge {
-		t.Helper()
-		g.Detach()
-		br, err := ingest.Attach(tab, g, icfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return br
-	}
-
-	tabRef := testTable(t, 400, d, 40)
-	gRef, err := shard.Build(tabRef, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer gRef.Close()
-	brRef := attach(tabRef, gRef, ingest.Config{MaxBatch: 16})
-	driveOps(t, tabRef, rand.New(rand.NewSource(opSeed)), nOps)
-	if err := brRef.Close(); err != nil {
-		t.Fatal(err)
-	}
-	refBits := estimateBits(t, gRef, qs)
-
-	tabA := testTable(t, 400, d, 40)
-	gA, err := shard.Build(tabA, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	brA := attach(tabA, gA, ingest.Config{MaxBatch: 16})
-	half := driveOps(t, tabA, rand.New(rand.NewSource(opSeed)), nOps/2)
-	if err := brA.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "mid.ckpt")
-	if err := gA.Checkpoint(path); err != nil {
-		t.Fatal(err)
-	}
-	if err := brA.Close(); err != nil {
-		t.Fatal(err)
-	}
-	gA.Close()
-
-	tabB := testTable(t, 400, d, 40)
-	gB, err := shard.Restore(path, tabB, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer gB.Close()
-	if got := gB.IngestCursor(); got != uint64(half) {
-		t.Fatalf("restored cursor %d, want %d", got, half)
-	}
-	brB := attach(tabB, gB, ingest.Config{MaxBatch: 16, Cursor: gB.IngestCursor(), Replay: true})
-	driveOps(t, tabB, rand.New(rand.NewSource(opSeed)), nOps)
-	if err := brB.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if st := brB.Stats(); st.Skipped != int64(half) {
-		t.Fatalf("replay skipped %d events, want %d", st.Skipped, half)
-	}
-	bits := estimateBits(t, gB, qs)
 	for i := range bits {
 		if bits[i] != refBits[i] {
 			t.Fatalf("query %d: restored estimate bits %x != uninterrupted %x", i, bits[i], refBits[i])

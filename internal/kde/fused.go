@@ -392,10 +392,10 @@ func (e *Estimator) fusedGradientBatch(qs []query.Range, ests, grads []float64) 
 
 // fusedGradPartials fills partials[(c*nq+iq)*(d+1)] with chunk c's
 // unnormalized mass sum for query iq and the d following entries with the
-// chunk's unnormalized bandwidth-gradient terms — the shared partial-fill
-// stage behind fusedGradientBatch and GradientBatchPartials. The gradient
-// entries are accumulated by fusedGradChunk, so they are zeroed here first;
-// caller-provided buffers need no pre-zeroing.
+// chunk's unnormalized bandwidth-gradient terms — the partial-fill stage
+// behind fusedGradientBatch. The gradient entries are accumulated by
+// fusedGradChunk, so they are zeroed here first; buffers need no
+// pre-zeroing.
 func (e *Estimator) fusedGradPartials(qs []query.Range, partials []float64) {
 	nq := len(qs)
 	s, d := e.Size(), e.d

@@ -1,7 +1,6 @@
 package kde
 
 import (
-	"fmt"
 	"math"
 
 	"kdesel/internal/kernel"
@@ -139,29 +138,7 @@ func (e *Estimator) quantizeColumns() {
 		e.q16 = make([]int16, len(e.cols))
 	}
 	e.q16 = e.q16[:len(e.cols)]
-	if cap(e.qScale) < d {
-		e.qScale = make([]float32, d)
-		e.qOff = make([]float32, d)
-	}
-	e.qScale, e.qOff = e.qScale[:d], e.qOff[:d]
-	if len(e.pinScale) == d && len(e.pinOff) == d {
-		copy(e.qScale, e.pinScale)
-		copy(e.qOff, e.pinOff)
-	} else {
-		for j := 0; j < d; j++ {
-			col := e.cols[j*s : (j+1)*s]
-			lo, hi := col[0], col[0]
-			for _, v := range col {
-				if v < lo {
-					lo = v
-				}
-				if v > hi {
-					hi = v
-				}
-			}
-			e.qScale[j], e.qOff[j] = quantConsts(lo, hi)
-		}
-	}
+	e.qScale, e.qOff = QuantConstants(e.data, d)
 	for j := 0; j < d; j++ {
 		col := e.cols[j*s : (j+1)*s]
 		q := e.q16[j*s : (j+1)*s]
@@ -194,11 +171,9 @@ func quantConsts(lo, hi float64) (scale, off float32) {
 	return scale, float32(lo + 32768*step)
 }
 
-// QuantConstants derives the per-dimension quantized-tier constants from a
-// row-major sample — exactly the constants quantizeColumns would derive for
-// an estimator holding that sample. A sharded group computes them once over
-// the full pre-partition sample and pins them into every shard
-// (PinQuantConstants), so shard-local column ranges never perturb the codes.
+// QuantConstants derives the per-dimension quantized-tier constants of a
+// row-major sample from each dimension's value range — the constants
+// quantizeColumns encodes an estimator's sample against.
 func QuantConstants(data []float64, d int) (scale, off []float32) {
 	scale = make([]float32, d)
 	off = make([]float32, d)
@@ -219,26 +194,6 @@ func QuantConstants(data []float64, d int) (scale, off []float32) {
 		scale[j], off[j] = quantConsts(lo, hi)
 	}
 	return scale, off
-}
-
-// PinQuantConstants freezes the quantized tier's dequantization constants to
-// the supplied per-dimension scale/offset pairs; the tier is rebuilt if it is
-// currently active so existing codes re-encode against the pinned constants.
-// Passing nil slices unpins (constants derive from the sample again).
-func (e *Estimator) PinQuantConstants(scale, off []float32) error {
-	if scale == nil && off == nil {
-		e.pinScale, e.pinOff = nil, nil
-	} else {
-		if len(scale) != e.d || len(off) != e.d {
-			return fmt.Errorf("kde: pinned quant constants have dims (%d,%d), want %d", len(scale), len(off), e.d)
-		}
-		e.pinScale = append([]float32(nil), scale...)
-		e.pinOff = append([]float32(nil), off...)
-	}
-	if e.prec == mathx.Quantized && len(e.cols) > 0 {
-		e.quantizeColumns()
-	}
-	return nil
 }
 
 // quantize16 encodes one value against the effective (float32-rounded)

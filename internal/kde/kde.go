@@ -70,16 +70,6 @@ type Estimator struct {
 	qScale []float32
 	qOff   []float32
 
-	// pinScale/pinOff, when non-nil, freeze the quantized tier's
-	// per-dimension dequantization constants instead of deriving them from
-	// this estimator's own column ranges (PinQuantConstants). A sharded
-	// group pins one set of globally derived constants into every shard so
-	// all shards encode identical int16 codes for identical values — the
-	// property that keeps quantized shard partials bit-identical to the
-	// single-estimator path.
-	pinScale []float32
-	pinOff   []float32
-
 	// gen counts sample-content generations: SetSampleFlat and ReplacePoint
 	// bump it, so Snapshot can tell a bandwidth-only change (share the frozen
 	// sample buffers) from a sample mutation (deep-copy them).
@@ -629,9 +619,9 @@ func (e *Estimator) genericBatchPartials(qs []query.Range, partials []float64) {
 // every chunk's unnormalized mass sum, laid out partials[c*nq+iq] for chunk
 // c and query iq. The estimate of qs[iq] is Σ_c partials[c*nq+iq] / Size(),
 // summed in ascending chunk order — exactly the reduction SelectivityBatch
-// performs. Exposing the partials lets a sharded estimator interleave
-// per-shard chunk sums into the global chunk order and reproduce the
-// single-estimator float-addition sequence bit for bit (internal/shard).
+// performs. Exposing the partials lets a sharded model drop the chunks of a
+// lost shard and still reproduce the full float-addition sequence when no
+// shard is lost (core.Server.EstimateDetail).
 // The dispatch (fused / compressed tier / generic) matches SelectivityBatch.
 func (e *Estimator) SelectivityBatchPartials(qs []query.Range, partials []float64) error {
 	nq := len(qs)
@@ -655,35 +645,6 @@ func (e *Estimator) SelectivityBatchPartials(qs []query.Range, partials []float6
 		return nil
 	}
 	e.genericBatchPartials(qs, partials)
-	return nil
-}
-
-// GradientBatchPartials is the gradient counterpart of
-// SelectivityBatchPartials: partials (length
-// parallel.Chunks(Size())·len(qs)·(Dims()+1)) receives, at
-// partials[(c*nq+iq)*(d+1)], chunk c's unnormalized mass sum for query iq
-// followed by its d unnormalized bandwidth-gradient terms. GradientBatch's
-// results are recovered by summing each slot in ascending chunk order and
-// scaling by 1/Size(). The dispatch (fused / generic) matches GradientBatch;
-// gradients always read the float64 buffers regardless of precision tier.
-func (e *Estimator) GradientBatchPartials(qs []query.Range, partials []float64) error {
-	nq := len(qs)
-	for i := range qs {
-		if err := e.checkReady(qs[i]); err != nil {
-			return fmt.Errorf("kde: batch query %d: %w", i, err)
-		}
-	}
-	if want := parallel.Chunks(e.Size()) * nq * (e.d + 1); len(partials) != want {
-		return fmt.Errorf("kde: partials buffer has %d entries, want %d", len(partials), want)
-	}
-	if nq == 0 {
-		return nil
-	}
-	if e.fusedOK() {
-		e.fusedGradPartials(qs, partials)
-		return nil
-	}
-	e.genericGradPartials(qs, partials)
 	return nil
 }
 
@@ -742,10 +703,11 @@ func (e *Estimator) GradientBatch(qs []query.Range, ests, grads []float64) error
 	return nil
 }
 
-// genericGradPartials fills the GradientBatchPartials layout through the
-// row-major generic path — the shared partial-fill stage behind
-// GradientBatch and GradientBatchPartials. Each chunk's slice is zeroed in
-// the chunk body, so caller-provided buffers need no pre-zeroing.
+// genericGradPartials fills partials[(c*nq+iq)*(d+1)] with chunk c's
+// unnormalized mass sum for query iq followed by its d unnormalized
+// bandwidth-gradient terms, through the row-major generic path — the
+// partial-fill stage behind GradientBatch. Each chunk's slice is zeroed in
+// the chunk body, so buffers need no pre-zeroing.
 func (e *Estimator) genericGradPartials(qs []query.Range, partials []float64) {
 	nq := len(qs)
 	d := e.d
@@ -921,10 +883,6 @@ func (e *Estimator) Clone() *Estimator {
 	if e.kerns != nil {
 		out.kerns = make([]kernel.Kernel, len(e.kerns))
 		copy(out.kerns, e.kerns)
-	}
-	if e.pinScale != nil {
-		out.pinScale = append([]float32(nil), e.pinScale...)
-		out.pinOff = append([]float32(nil), e.pinOff...)
 	}
 	out.data = make([]float64, len(e.data))
 	copy(out.data, e.data)

@@ -105,7 +105,7 @@ func (v *View) SelectivityBatch(qs []query.Range, ests []float64) error {
 // SelectivityBatchPartials runs the batched estimate pass against the frozen
 // model but stops before the reduction, filling partials with per-chunk
 // unnormalized mass sums (see Estimator.SelectivityBatchPartials). Safe for
-// concurrent use; this is the per-shard scatter primitive of internal/shard.
+// concurrent use.
 func (v *View) SelectivityBatchPartials(qs []query.Range, partials []float64) error {
 	return v.est.SelectivityBatchPartials(qs, partials)
 }

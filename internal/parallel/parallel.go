@@ -150,46 +150,6 @@ func (p *Pool) Run(n int, body func(c, lo, hi int)) {
 	wg.Wait()
 }
 
-// Each invokes f(i) exactly once for every i in [0, n), one task per index
-// rather than per chunk — the scatter primitive for fanning a request across
-// a small number of independent targets (e.g. shard estimators), where Run's
-// 256-item chunk grid would collapse everything into a single chunk. With
-// one worker (or a nil pool) the tasks run inline in index order; otherwise
-// workers claim indices from an atomic counter. f must only write to
-// index-private state; callers combine per-index results in index order,
-// which keeps the overall reduction deterministic exactly as with Run.
-func (p *Pool) Each(n int, f func(i int)) {
-	if n <= 0 {
-		return
-	}
-	w := p.Workers()
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for i := 0; i < w; i++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				f(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // BufferPool recycles float64 scratch slices across calls and goroutines.
 // The zero value is ready to use; Get and Put are safe for concurrent use.
 type BufferPool struct {

@@ -37,9 +37,6 @@ type entryApplier struct{ ent *entry }
 
 func (a entryApplier) ApplyMutations(ms []table.Mutation) error {
 	a.ent.touch()
-	if g := a.ent.grp.Load(); g != nil {
-		return g.ApplyMutations(ms)
-	}
 	if s := a.ent.srv.Load(); s != nil {
 		return s.ApplyMutations(ms)
 	}
@@ -90,9 +87,7 @@ func (r *Registry) DetachIngest(key Key) error {
 		return nil
 	}
 	cerr := br.Close()
-	if g := ent.grp.Load(); g != nil {
-		ent.tab.Subscribe(g)
-	} else if s := ent.srv.Load(); s != nil {
+	if s := ent.srv.Load(); s != nil {
 		ent.tab.Subscribe(s)
 	}
 	return cerr
@@ -105,20 +100,15 @@ func (r *Registry) attachIngestLocked(ent *entry) error {
 	if ent.bridge.Load() != nil {
 		return nil
 	}
-	var cursor uint64
-	if g := ent.grp.Load(); g != nil {
-		g.Detach()
-		cursor = g.IngestCursor()
-	} else if s := ent.srv.Load(); s != nil {
-		s.DetachFeed()
-		cursor = s.IngestCursor()
-	} else {
+	s := ent.srv.Load()
+	if s == nil {
 		return fmt.Errorf("registry: model %v is not resident", ent.key)
 	}
+	s.DetachFeed()
 	br, err := ingest.Attach(ent.tab, entryApplier{ent}, ingest.Config{
 		RingSize: ent.ingCfg.RingSize,
 		MaxBatch: ent.ingCfg.MaxBatch,
-		Cursor:   cursor,
+		Cursor:   s.IngestCursor(),
 		Drift:    ent.ingCfg.Drift,
 		OnDrift:  func(d ingest.Drift) { r.onDrift(ent, d) },
 		Metrics:  r.met.WithPrefix(ent.key.MetricPrefix()),

@@ -51,7 +51,6 @@ import (
 	"kdesel/internal/metrics"
 	"kdesel/internal/parallel"
 	"kdesel/internal/query"
-	"kdesel/internal/shard"
 	"kdesel/internal/table"
 )
 
@@ -134,16 +133,8 @@ type entry struct {
 	tab      *table.Table
 	serveCfg core.ServeConfig
 
-	// sharded entries serve through grp instead of srv; shardCfg keeps the
-	// runtime half of the group configuration (loss, learner, karma,
-	// shard count) for restore-on-demand, which rebuilds the model state
-	// itself from the checkpoint frames.
-	sharded  bool
-	shardCfg shard.Config
-
 	mu  sync.Mutex
 	srv atomic.Pointer[core.Server]
-	grp atomic.Pointer[shard.Group]
 
 	lastUsed atomic.Int64 // UnixNano of last estimate/feedback
 	lastCkpt atomic.Int64 // UnixNano of last checkpoint
@@ -167,9 +158,8 @@ type entry struct {
 
 func (e *entry) touch() { e.lastUsed.Store(time.Now().UnixNano()) }
 
-// resident reports whether the entry currently holds a live serving
-// handle of either kind.
-func (e *entry) resident() bool { return e.srv.Load() != nil || e.grp.Load() != nil }
+// resident reports whether the entry currently holds a live server.
+func (e *entry) resident() bool { return e.srv.Load() != nil }
 
 // Registry routes per-model operations to the right core.Server and owns
 // admission, checkpoint rotation, eviction, and restore. Safe for
@@ -291,79 +281,17 @@ func (r *Registry) Admit(key Key, tab *table.Table, buildCfg core.Config, serveC
 	return nil
 }
 
-// AdmitSharded admits a sharded model: the sample is partitioned across
-// shards shard estimators (internal/shard) whose scatter/gather serving
-// is bit-identical to the single-shard path at any shard count. The
-// build-config fields that shape the model (SampleSize, Seed, Loss,
-// Learner, Karma, Faults) carry over; Metrics and Workers are overridden
-// by the registry's shared resources exactly as in Admit, and
-// serveCfg.Precision selects every shard's serving tier. Sharded models
-// get the same lifecycle as plain ones: per-model metric namespace (plus
-// shard<i>. sub-namespaces), checkpoint rotation (one atomic multi-frame
-// file covering all shards), eviction, and restore-on-demand.
+// AdmitSharded admits a model with core.Config.Shards = shards: its
+// estimates are bit-identical to the unsharded model's, and its n-th
+// ANALYZE optimizes over shard (n−1) mod shards alone. Unless
+// serveCfg.MaxBatch says otherwise the model serves uncoalesced
+// (MaxBatch 1).
 func (r *Registry) AdmitSharded(key Key, tab *table.Table, buildCfg core.Config, shards int, serveCfg core.ServeConfig) error {
-	if len(key.Columns) == 0 {
-		return fmt.Errorf("registry: key %q has no columns", key.Table)
+	buildCfg.Shards = shards
+	if serveCfg.MaxBatch == 0 {
+		serveCfg.MaxBatch = 1
 	}
-	if tab == nil {
-		return errors.New("registry: nil table")
-	}
-	if tab.Dims() != len(key.Columns) {
-		return fmt.Errorf("registry: key %v names %d columns but table has %d",
-			key, len(key.Columns), tab.Dims())
-	}
-	ent := &entry{
-		key: key, tab: tab, serveCfg: serveCfg, sharded: true,
-		shardCfg: shard.Config{
-			Shards:     shards,
-			SampleSize: buildCfg.SampleSize,
-			Seed:       buildCfg.Seed,
-			Loss:       buildCfg.Loss,
-			Learner:    buildCfg.Learner,
-			Karma:      buildCfg.Karma,
-			Precision:  serveCfg.Precision,
-			Workers:    r.cfg.Workers,
-			Faults:     buildCfg.Faults,
-		},
-	}
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return ErrClosed
-	}
-	if _, dup := r.models[key.String()]; dup {
-		r.mu.Unlock()
-		return fmt.Errorf("%w: %v", ErrDuplicateModel, key)
-	}
-	r.models[key.String()] = ent
-	r.mu.Unlock()
-
-	ent.mu.Lock()
-	err := r.buildGroupLocked(ent)
-	ent.mu.Unlock()
-	if err != nil {
-		r.mu.Lock()
-		delete(r.models, key.String())
-		r.mu.Unlock()
-		return err
-	}
-	r.admissions.Inc()
-	r.enforceResidency(key)
-	return nil
-}
-
-// buildGroupLocked builds the shard group for ent; caller holds ent.mu.
-func (r *Registry) buildGroupLocked(ent *entry) error {
-	cfg := ent.shardCfg
-	cfg.Metrics = r.met.WithPrefix(ent.key.MetricPrefix())
-	cfg.Pool = r.pool
-	g, err := shard.Build(ent.tab, cfg)
-	if err != nil {
-		return err
-	}
-	ent.grp.Store(g)
-	ent.touch()
-	return nil
+	return r.Admit(key, tab, buildCfg, serveCfg)
 }
 
 // AdmitJoin admits a join model: it samples the fkTab ⋈ pkTab join result
@@ -456,63 +384,13 @@ func (r *Registry) server(ent *entry) (*core.Server, error) {
 	return s, nil
 }
 
-// group returns the live shard group for ent, restoring from the newest
-// checkpoint when the model was evicted. The fast path is one atomic load.
-func (r *Registry) group(ent *entry) (*shard.Group, error) {
-	if g := ent.grp.Load(); g != nil {
-		return g, nil
-	}
-	ent.mu.Lock()
-	g := ent.grp.Load()
-	if g == nil {
-		var err error
-		if g, err = r.restoreGroupLocked(ent); err != nil {
-			ent.mu.Unlock()
-			return nil, err
-		}
-	}
-	ent.mu.Unlock()
-	r.enforceResidency(ent.key)
-	return g, nil
-}
-
-// restoreGroupLocked rebuilds ent's shard group from its newest checkpoint
-// and, for a model with ingestion attached, re-attaches a bridge at the
-// restored cursor; caller holds ent.mu.
-func (r *Registry) restoreGroupLocked(ent *entry) (*shard.Group, error) {
-	if len(ent.ckpts) == 0 {
-		return nil, fmt.Errorf("registry: model %v is not resident and has no checkpoint", ent.key)
-	}
-	cfg := ent.shardCfg
-	cfg.Metrics = r.met.WithPrefix(ent.key.MetricPrefix())
-	cfg.Pool = r.pool
-	g, err := shard.Restore(ent.ckpts[len(ent.ckpts)-1], ent.tab, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("registry: restore %v: %w", ent.key, err)
-	}
-	ent.grp.Store(g)
-	ent.touch()
-	r.restores.Inc()
-	if ent.ingOn.Load() {
-		if err := r.attachIngestLocked(ent); err != nil {
-			return nil, err
-		}
-	}
-	return g, nil
-}
-
-// residentLocked ensures ent has a live serving handle, restoring from the
-// newest checkpoint when needed; caller holds ent.mu.
+// residentLocked ensures ent has a live server, restoring from the newest
+// checkpoint when needed; caller holds ent.mu.
 func (r *Registry) residentLocked(ent *entry) error {
 	if ent.resident() {
 		return nil
 	}
-	var err error
-	if ent.sharded {
-		_, err = r.restoreGroupLocked(ent)
-	} else {
-		_, err = r.restoreLocked(ent)
-	}
+	_, err := r.restoreLocked(ent)
 	return err
 }
 
@@ -549,24 +427,7 @@ func (r *Registry) restoreLocked(ent *entry) (*core.Server, error) {
 // from the model snapshot — so an ANALYZE or checkpoint on any model (this
 // one included) does not block them.
 func (r *Registry) Estimate(key Key, q query.Range) (float64, error) {
-	ent, err := r.entryFor(key)
-	if err != nil {
-		return 0, err
-	}
-	if ent.sharded {
-		g, err := r.group(ent)
-		if err != nil {
-			return 0, err
-		}
-		ent.touch()
-		return g.Estimate(q)
-	}
-	s, err := r.server(ent)
-	if err != nil {
-		return 0, err
-	}
-	ent.touch()
-	return s.Estimate(q)
+	return r.EstimateContext(context.Background(), key, q)
 }
 
 // EstimateContext is Estimate with deadline/cancellation propagation: the
@@ -581,9 +442,8 @@ func (r *Registry) EstimateContext(ctx context.Context, key Key, q query.Range) 
 }
 
 // EstimateContextDetail is EstimateContext plus the degraded flag: true
-// when a sharded model lost shards during the scatter and served the
-// renormalized survivor estimate. Unsharded models never degrade a single
-// request this way and always report false.
+// when fault.ShardFail dropped shards of a sharded model and the estimate
+// is the renormalized survivor estimate (core.Server.EstimateDetail).
 func (r *Registry) EstimateContextDetail(ctx context.Context, key Key, q query.Range) (float64, bool, error) {
 	ent, err := r.entryFor(key)
 	if err != nil {
@@ -592,21 +452,12 @@ func (r *Registry) EstimateContextDetail(ctx context.Context, key Key, q query.R
 	if err := ctx.Err(); err != nil {
 		return 0, false, err
 	}
-	if ent.sharded {
-		g, err := r.group(ent)
-		if err != nil {
-			return 0, false, err
-		}
-		ent.touch()
-		return g.EstimateDetail(ctx, q)
-	}
 	s, err := r.server(ent)
 	if err != nil {
 		return 0, false, err
 	}
 	ent.touch()
-	est, err := s.EstimateContext(ctx, q)
-	return est, false, err
+	return s.EstimateDetail(ctx, q)
 }
 
 // Feedback routes an observed true selectivity to key's model. A feedback
@@ -619,14 +470,6 @@ func (r *Registry) Feedback(key Key, q query.Range, actual float64) error {
 		return err
 	}
 	ent.recordFeedback(q, actual)
-	if ent.sharded {
-		g, err := r.group(ent)
-		if err != nil {
-			return err
-		}
-		ent.touch()
-		return g.Feedback(q, actual)
-	}
 	s, err := r.server(ent)
 	if err != nil {
 		return err
@@ -635,9 +478,9 @@ func (r *Registry) Feedback(key Key, q query.Range, actual float64) error {
 	return s.Feedback(q, actual)
 }
 
-// FeedbackBatch routes a slice of observations to key's model. For a
-// sharded model the records apply one at a time (the group's feedback
-// path includes karma sample maintenance, which is per-query).
+// FeedbackBatch routes a slice of observations to key's model, which
+// folds them in under one hold of its writer lock
+// (core.Estimator.FeedbackBatch).
 func (r *Registry) FeedbackBatch(key Key, fbs []query.Feedback) error {
 	ent, err := r.entryFor(key)
 	if err != nil {
@@ -645,19 +488,6 @@ func (r *Registry) FeedbackBatch(key Key, fbs []query.Feedback) error {
 	}
 	for _, fb := range fbs {
 		ent.recordFeedback(fb.Query, fb.Actual)
-	}
-	if ent.sharded {
-		g, err := r.group(ent)
-		if err != nil {
-			return err
-		}
-		ent.touch()
-		for _, fb := range fbs {
-			if err := g.Feedback(fb.Query, fb.Actual); err != nil {
-				return err
-			}
-		}
-		return nil
 	}
 	s, err := r.server(ent)
 	if err != nil {
@@ -668,25 +498,13 @@ func (r *Registry) FeedbackBatch(key Key, fbs []query.Feedback) error {
 }
 
 // Analyze synchronously re-optimizes key's model over fbs (the ANALYZE
-// step). It runs under that model's writer lock only: estimates for the
-// same model keep serving the pre-ANALYZE snapshot, and other models are
-// entirely unaffected.
+// step, core.Server.Reoptimize). The optimization holds no lock: estimates
+// for the same model keep serving the pre-ANALYZE snapshot, its writers
+// proceed, and evicting it meanwhile waits for nothing — the eviction
+// retires the model, and this ANALYZE then fails with core.ErrRetired.
 func (r *Registry) Analyze(key Key, fbs []query.Feedback) error {
 	ent, err := r.entryFor(key)
 	if err != nil {
-		return err
-	}
-	if ent.sharded {
-		g, err := r.group(ent)
-		if err != nil {
-			return err
-		}
-		// Round-robin over the shards: each ANALYZE optimizes over one
-		// shard's sample while the others keep serving undisturbed.
-		err = g.Analyze(fbs)
-		if err == nil {
-			r.analyzes.Inc()
-		}
 		return err
 	}
 	s, err := r.server(ent)
@@ -739,32 +557,24 @@ func (r *Registry) CheckpointNow(key Key) error {
 	}
 	ent.mu.Lock()
 	defer ent.mu.Unlock()
-	if g := ent.grp.Load(); g != nil {
-		return r.checkpointLocked(ent, g)
-	}
 	s := ent.srv.Load()
 	if s == nil {
 		return nil // evicted: its checkpoint is already the latest state
 	}
-	return r.checkpointLocked(ent, s)
+	return r.checkpointLocked(ent, s.Checkpoint)
 }
 
-// checkpointer is the one method checkpointLocked needs; both core.Server
-// and shard.Group satisfy it (a sharded group writes one multi-frame file
-// covering all its shards atomically).
-type checkpointer interface {
-	Checkpoint(path string) error
-}
-
-// checkpointLocked writes one rotation checkpoint; caller holds ent.mu.
-func (r *Registry) checkpointLocked(ent *entry, s checkpointer) error {
+// checkpointLocked writes one rotation checkpoint through write —
+// core.Server.Checkpoint, or core.Server.Retire for a model's final one;
+// caller holds ent.mu.
+func (r *Registry) checkpointLocked(ent *entry, write func(path string) error) error {
 	if r.cfg.CheckpointDir == "" {
 		return errors.New("registry: no CheckpointDir configured")
 	}
 	ent.ckptSeq++
 	path := filepath.Join(r.cfg.CheckpointDir,
 		fmt.Sprintf("%s-%06d.ckpt", ent.key.fileStem(), ent.ckptSeq))
-	if err := s.Checkpoint(path); err != nil {
+	if err := write(path); err != nil {
 		return err
 	}
 	ent.ckpts = append(ent.ckpts, path)
@@ -798,26 +608,15 @@ func (r *Registry) evict(ent *entry) error {
 	// the frame must capture every buffered mutation and the matching feed
 	// cursor. Restore-on-demand re-attaches a fresh bridge at that cursor.
 	ent.closeIngestLocked()
-	if g := ent.grp.Load(); g != nil {
-		// Sharded: one multi-frame checkpoint covers every shard atomically,
-		// then the whole group (and its shard<i>.* sub-namespaces, nested
-		// under the model prefix) is torn down.
-		if err := r.checkpointLocked(ent, g); err != nil {
-			return fmt.Errorf("registry: evict %v: %w", ent.key, err)
-		}
-		ent.grp.Store(nil)
-		g.Close()
-		r.met.UnregisterGaugeFuncsPrefix(ent.key.MetricPrefix())
-		r.evictions.Inc()
-		return nil
-	}
 	s := ent.srv.Load()
 	if s == nil {
 		return nil
 	}
 	// Checkpoint before detaching: restore-on-next-estimate (which blocks on
 	// ent.mu until this returns) must see the final pre-eviction state.
-	if err := r.checkpointLocked(ent, s); err != nil {
+	// Retire makes that checkpoint final: an ANALYZE still optimizing fails
+	// instead of installing into the detached model.
+	if err := r.checkpointLocked(ent, s.Retire); err != nil {
 		return fmt.Errorf("registry: evict %v: %w", ent.key, err)
 	}
 	ent.srv.Store(nil)
@@ -886,10 +685,8 @@ func (r *Registry) Sweep() {
 		}
 		if r.cfg.CheckpointEvery > 0 && now-ent.lastCkpt.Load() > int64(r.cfg.CheckpointEvery) {
 			ent.mu.Lock()
-			if g := ent.grp.Load(); g != nil {
-				_ = r.checkpointLocked(ent, g)
-			} else if s := ent.srv.Load(); s != nil {
-				_ = r.checkpointLocked(ent, s)
+			if s := ent.srv.Load(); s != nil {
+				_ = r.checkpointLocked(ent, s.Checkpoint)
 			}
 			ent.mu.Unlock()
 		}
@@ -935,7 +732,7 @@ type ModelStatus struct {
 	Health core.Health
 	// Queries is the number of estimates a resident model has served.
 	Queries int
-	// Shards is the shard count of a sharded model (0 for unsharded).
+	// Shards is K of a resident sharded model (0 for one shard).
 	Shards int
 	// Ingesting reports whether a continuous-ingestion bridge is attached.
 	Ingesting bool
@@ -959,15 +756,13 @@ func (r *Registry) Status() []ModelStatus {
 	out := make([]ModelStatus, 0, len(entries))
 	for _, ent := range entries {
 		st := ModelStatus{Key: ent.key}
-		if g := ent.grp.Load(); g != nil {
-			st.Resident = true
-			st.Health = g.Health()
-			st.Queries = int(g.Queries())
-			st.Shards = g.Shards()
-		} else if s := ent.srv.Load(); s != nil {
+		if s := ent.srv.Load(); s != nil {
 			st.Resident = true
 			st.Health = s.Health()
 			st.Queries = s.Queries()
+			if k := s.Shards(); k > 1 {
+				st.Shards = k
+			}
 		}
 		if br := ent.bridge.Load(); br != nil {
 			st.Ingesting = true
@@ -1037,16 +832,9 @@ func (r *Registry) Close() {
 		// Drain the ingestion ring into the model before the final
 		// checkpoint, exactly as eviction does.
 		ent.closeIngestLocked()
-		if g := ent.grp.Load(); g != nil {
+		if s := ent.srv.Load(); s != nil {
 			if r.cfg.CheckpointDir != "" {
-				_ = r.checkpointLocked(ent, g)
-			}
-			ent.grp.Store(nil)
-			g.Close()
-			r.met.UnregisterGaugeFuncsPrefix(ent.key.MetricPrefix())
-		} else if s := ent.srv.Load(); s != nil {
-			if r.cfg.CheckpointDir != "" {
-				_ = r.checkpointLocked(ent, s)
+				_ = r.checkpointLocked(ent, s.Retire)
 			}
 			ent.srv.Store(nil)
 			s.DetachFeed()

@@ -358,6 +358,52 @@ func TestAnalyzeIsolation(t *testing.T) {
 	}
 }
 
+// TestAnalyzeNeverStallsEviction: with one resident slot, estimating
+// another key while a model's ANALYZE optimizes must evict that model
+// without waiting for the optimization — ANALYZE holds no lock while it
+// optimizes — and the evicted model's ANALYZE must then fail instead of
+// installing into the detached model and counting as done.
+func TestAnalyzeNeverStallsEviction(t *testing.T) {
+	met := metrics.New()
+	r := New(Config{MaxResident: 1, CheckpointDir: t.TempDir(), Metrics: met, SweepEvery: -1})
+	defer r.Close()
+	ka, kb := NewKey("a", 0, 1, 2, 3), NewKey("b", 0, 1)
+	tabA, tabB := buildTable(t, 3000, 4, 41), buildTable(t, 300, 2, 42)
+	if err := r.Admit(ka, tabA, core.Config{SampleSize: 2048, Seed: 1}, core.ServeConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Admit(kb, tabB, buildCfg(2), core.ServeConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	fbs := feedbackSet(t, tabA, rand.New(rand.NewSource(43)), 64)
+
+	analyzeDone := make(chan error, 1)
+	go func() { analyzeDone <- r.Analyze(ka, fbs) }() // restores a, evicts b
+	// Wait until the optimizer is evaluating its objective.
+	for met.Snapshot().Counters[ka.MetricPrefix()+"bandwidth.objective_evals"] == 0 || r.IsResident(kb) {
+		time.Sleep(time.Millisecond)
+	}
+
+	// Restoring b evicts a, whose checkpoint must not wait out the ANALYZE.
+	if _, err := r.Estimate(kb, dataQuery(tabB, rand.New(rand.NewSource(44)))); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-analyzeDone:
+		t.Fatalf("estimate returned only after the ANALYZE finished (err %v)", err)
+	default:
+	}
+	if r.IsResident(ka) {
+		t.Fatal("restoring b did not evict a")
+	}
+	if err := <-analyzeDone; !errors.Is(err, core.ErrRetired) {
+		t.Fatalf("ANALYZE of the evicted model returned %v, want core.ErrRetired", err)
+	}
+	if n := met.Snapshot().Counters["registry.analyzes"]; n != 0 {
+		t.Fatalf("registry.analyzes = %v after a failed ANALYZE, want 0", n)
+	}
+}
+
 // TestScheduleAnalyze: the background worker drains the queue and applies
 // the re-optimization; the queue rejects overflow with a typed error.
 func TestScheduleAnalyze(t *testing.T) {

@@ -1,1175 +1,23 @@
-// Package shard implements sharded scale-out serving for the KDE
-// selectivity estimator: the reservoir sample is partitioned across K
-// shard estimators, estimate batches are scattered across the shards and
-// the per-shard partial sums are gathered back in a deterministic order,
-// so the K-shard result is bit-identical to the single-shard path for any
-// K and any worker count.
-//
-// # Partitioning rule
-//
-// The global sample of size s is laid out on the fixed 256-row chunk grid
-// of internal/parallel (the grid that defines the reduction tree of every
-// KDE operation). Global chunk c is owned by shard c mod K and becomes
-// that shard's local chunk c div K, so shard k holds the global chunks
-// {k, k+K, k+2K, ...} in ascending order. Because only the globally last
-// chunk can be partial and it lands as the last local chunk of its owner,
-// every shard's local chunk grid is an exact sub-grid of the global one:
-// a shard's local chunk partials ARE the corresponding global chunk
-// partials, bit for bit. A global sample index gi therefore lives on
-// shard (gi/256) mod K at local index ((gi/256)/K)*256 + gi%256.
-//
-// # Scatter/gather semantics
-//
-// EstimateBatch scatters the query batch to every shard through the
-// shared parallel.Pool (one task per shard); each shard evaluates its
-// frozen view's per-chunk partial mass sums (kde.SelectivityBatchPartials)
-// without taking any lock. The gather then walks the GLOBAL chunk grid in
-// ascending order, picking each chunk's partial from its owner shard, and
-// divides by the total sample size — exactly the float-addition sequence
-// of the single-estimator reduction, which is what makes the result
-// bit-identical at every K.
-//
-// # Per-shard lifecycle
-//
-// Every shard owns its writer lock; the group publishes one immutable
-// view set (all K shard views plus the uniform bandwidth) through a
-// single atomic pointer, so estimates never block on any lock. ANALYZE
-// re-optimizes the bandwidth over ONE shard's sample copy — the copy is
-// taken under that shard's lock alone, and the optimization runs with no
-// lock held — so karma/reservoir maintenance and ANALYZE on one shard
-// never stall estimates, which keep serving the previous view set until
-// the new bandwidth is installed group-wide. Feedback routes sample
-// maintenance by ownership (karma scores are global; replacements take
-// only the owning shard's lock) and merges bandwidth gradients in the
-// same deterministic global-chunk-order reduction before the learner
-// step, so the learned trajectory is invariant in K.
-//
-// # Partial failure
-//
-// A shard that fails during the scatter (fault.ShardFail, or a future
-// remote-shard transport) degrades the gather instead of failing it: the
-// estimate renormalizes over the surviving shards' sample mass, the
-// group's health drops to core.Degraded, and the per-request degraded
-// flag propagates to the serving layer. Only the loss of every shard is
-// an error.
+// Package shard builds the K-sharded model the benchmark ladder measures
+// (bench/ladder.go, rung 7). Sharding itself is core's chunk-ownership
+// rule, core.Config.Shards; this package only fixes the serving path such
+// models take, and its tests hold the K-invariance contracts.
 package shard
 
 import (
-	"context"
-	"errors"
-	"fmt"
-	"math"
-	"math/rand"
-	"sync"
-	"sync/atomic"
-
-	"kdesel/internal/bandwidth"
 	"kdesel/internal/core"
-	"kdesel/internal/fault"
-	"kdesel/internal/kde"
-	"kdesel/internal/learner"
-	"kdesel/internal/loss"
-	"kdesel/internal/mathx"
-	"kdesel/internal/metrics"
-	"kdesel/internal/parallel"
-	"kdesel/internal/query"
-	"kdesel/internal/sample"
 	"kdesel/internal/table"
 )
 
-// ErrClosed reports an operation on a closed group.
-var ErrClosed = errors.New("shard: group closed")
+// Config configures Build; Shards is K.
+type Config = core.Config
 
-// ErrAllShardsFailed reports a gather in which no shard survived.
-var ErrAllShardsFailed = errors.New("shard: all shards failed")
-
-// Config configures Build. The zero value is usable: one shard, the
-// default sample size, Gaussian kernel, quadratic loss.
-type Config struct {
-	// Shards is K, the number of sample partitions; 0 or 1 mean a single
-	// shard (which serves bit-identically to an unsharded estimator —
-	// that is the whole point).
-	Shards int
-	// SampleSize is the TOTAL sample size across all shards (default
-	// 1024, matching core.Config).
-	SampleSize int
-	// Seed derives the sampling and maintenance RNG stream; identical
-	// seeds give identical models, any K.
-	Seed int64
-	// Loss is the feedback loss (default quadratic).
-	Loss loss.Function
-	// Learner configures the RMSprop bandwidth learner.
-	Learner learner.Config
-	// Karma configures the sample-maintenance scoring.
-	Karma sample.KarmaConfig
-	// Precision selects the serving tier of every shard (default
-	// Float64).
-	Precision mathx.Precision
-	// Workers sets the host parallelism of the pool used for both the
-	// cross-shard scatter and each shard's own chunk loop: 0 or 1 serial,
-	// n > 1 that many workers, negative NumCPU. Results are bit-identical
-	// for every setting.
-	Workers int
-	// Pool, when non-nil, is the shared worker pool to run on instead of
-	// one derived from Workers — the model registry passes its
-	// process-wide pool here.
-	Pool *parallel.Pool
-	// Metrics, when non-nil, receives group and per-shard telemetry. Pass
-	// a prefixed view (e.g. model.<key>.) to namespace it; the group adds
-	// shard.* and shard<i>.* below it.
-	Metrics *metrics.Registry
-	// Faults, when non-nil, injects deterministic failures (ShardFail at
-	// the scatter, CheckpointCorrupt at checkpoint writes).
-	Faults *fault.Injector
-}
-
-func (c Config) shards() int {
-	if c.Shards < 1 {
-		return 1
-	}
-	return c.Shards
-}
-
-func (c Config) sampleSize() int {
-	if c.SampleSize > 0 {
-		return c.SampleSize
-	}
-	return 1024
-}
-
-func (c Config) loss() loss.Function {
-	if c.Loss != nil {
-		return c.Loss
-	}
-	return loss.Quadratic{}
-}
-
-func (c Config) pool() *parallel.Pool {
-	if c.Pool != nil {
-		return c.Pool
-	}
-	return parallel.PoolFor(c.Workers)
-}
-
-// shardState is one sample partition: a raw KDE estimator plus the writer
-// lock that serializes mutations of its sample buffers. Lock ordering:
-// the group lock, when held, is always acquired BEFORE any shard lock;
-// the ANALYZE sample copy takes a shard lock alone.
-type shardState struct {
-	mu  sync.Mutex
-	est *kde.Estimator // nil for an empty shard (K exceeds the chunk count)
-
-	replacements *metrics.Counter
-	analyzes     *metrics.Counter
-}
-
-// viewSet is the immutable serving state published through one atomic
-// pointer: all shard views were snapshotted under the same group lock, so
-// they share one sample generation and one uniform bandwidth — a gather
-// never mixes shards from different model states.
-type viewSet struct {
-	views  []*kde.View // length K; nil entries are empty shards
-	sizes  []int       // per-shard sample sizes (0 for empty shards)
-	sTotal int         // Σ sizes
-	prec   mathx.Precision
-}
-
-// Group is a sharded adaptive KDE estimator over one table. All exported
-// methods are safe for concurrent use; estimates are lock-free.
-type Group struct {
-	cfg Config
-	tab *table.Table
-	d   int
-	k   int
-	lf  loss.Function
-
-	pool   *parallel.Pool
-	faults *fault.Injector
-	bufs   parallel.BufferPool
-
-	views atomic.Pointer[viewSet]
-
-	mu     sync.Mutex // guards everything below; ordered before shard locks
-	closed bool
-	shards []*shardState
-	sTotal int
-	h      []float64 // uniform bandwidth across shards
-	learn  *learner.RMSprop
-	karma  *sample.Karma
-	res    *sample.Reservoir
-	rng    *rand.Rand
-	src    *countingSource
-	prec   mathx.Precision
-	// pinScale/pinOff freeze every shard's quantized-tier dequantization
-	// constants to the values derived from the build-time global sample,
-	// so K quantized shards encode the same int16 codes as one.
-	pinScale []float32
-	pinOff   []float32
-	analyzes int // completed ANALYZE runs (seeds their optimizer RNG)
-	anNext   int // round-robin ANALYZE target
-	// ingestSeq is the change-feed cursor: the highest mutation sequence
-	// number applied through ApplyMutations (see internal/ingest).
-	ingestSeq uint64
-
-	health    atomic.Int32
-	evMu      sync.Mutex
-	lastEvent string
-	queries   atomic.Int64
-
-	met groupMetrics
-}
-
-type groupMetrics struct {
-	reg            *metrics.Registry
-	gathers        *metrics.Counter
-	degraded       *metrics.Counter
-	feedbacks      *metrics.Counter
-	analyzes       *metrics.Counter
-	replacements   *metrics.Counter
-	gradRejected   *metrics.Counter
-	resAccepts     *metrics.Counter
-	invalidInputs  *metrics.Counter
-	ignoredDeletes *metrics.Counter
-	ignoredUpdates *metrics.Counter
-	deleteEvicts   *metrics.Counter
-	updatePatches  *metrics.Counter
-}
-
-// Build constructs a K-shard group over tab. The global sample is drawn
-// exactly like core.Build (same counted RNG stream from the same seed),
-// the initial bandwidth is Scott's rule over the FULL global sample, and
-// the quantized-tier constants are derived from the full sample and
-// pinned into every shard — three invariants that make the group's
-// estimates a pure function of (table, seed), independent of K.
-func Build(tab *table.Table, cfg Config) (*Group, error) {
-	if tab == nil {
-		return nil, errors.New("shard: nil table")
-	}
-	if tab.Len() == 0 {
-		return nil, errors.New("shard: cannot build a group over an empty table")
-	}
-	d := tab.Dims()
-	k := cfg.shards()
-	src := newCountingSource(cfg.Seed + 1)
-	rng := rand.New(src)
-	s := cfg.sampleSize()
-	if s > tab.Len() {
-		s = tab.Len()
-	}
-	flat, err := tab.SampleFlat(s, rng)
+// Build builds a model over tab and serves it without the coalescer
+// (MaxBatch 1), the path registry.AdmitSharded gives sharded models.
+func Build(tab *table.Table, cfg Config) (*core.Server, error) {
+	est, err := core.Build(tab, cfg)
 	if err != nil {
 		return nil, err
 	}
-	h := kde.ScottBandwidth(flat, d)
-	pinScale, pinOff := kde.QuantConstants(flat, d)
-
-	g := &Group{
-		cfg:      cfg,
-		tab:      tab,
-		d:        d,
-		k:        k,
-		lf:       cfg.loss(),
-		pool:     cfg.pool(),
-		faults:   cfg.Faults,
-		sTotal:   s,
-		h:        h,
-		rng:      rng,
-		src:      src,
-		prec:     cfg.Precision,
-		pinScale: pinScale,
-		pinOff:   pinOff,
-	}
-	if g.shards, err = buildShards(flat, d, k, g.pool, h, pinScale, pinOff, cfg.Precision); err != nil {
-		return nil, err
-	}
-	if g.learn, err = learner.NewRMSprop(d, cfg.Learner); err != nil {
-		return nil, err
-	}
-	kcfg := cfg.Karma
-	if kcfg.Loss == nil {
-		kcfg.Loss = g.lf
-	}
-	if g.karma, err = sample.NewKarma(s, kcfg); err != nil {
-		return nil, err
-	}
-	if g.res, err = sample.NewReservoir(s, tab.Len(), rng); err != nil {
-		return nil, err
-	}
-	tab.Subscribe(g)
-	g.instrument(cfg.Metrics)
-	g.mu.Lock()
-	g.publishLocked()
-	g.mu.Unlock()
-	return g, nil
-}
-
-// buildShards partitions the global row-major sample onto K shard
-// estimators by the chunk-round-robin rule and configures each with the
-// shared pool, the uniform bandwidth, the pinned quantization constants,
-// and the serving precision. Shards beyond the global chunk count stay
-// nil (empty).
-func buildShards(flat []float64, d, k int, pool *parallel.Pool, h []float64, pinScale, pinOff []float32, prec mathx.Precision) ([]*shardState, error) {
-	s := len(flat) / d
-	nc := parallel.Chunks(s)
-	shards := make([]*shardState, k)
-	for i := range shards {
-		shards[i] = &shardState{}
-	}
-	for i := 0; i < k && i < nc; i++ {
-		var part []float64
-		for c := i; c < nc; c += k {
-			lo, hi := parallel.ChunkBounds(c, s)
-			part = append(part, flat[lo*d:hi*d]...)
-		}
-		est, err := kde.New(d, nil)
-		if err != nil {
-			return nil, err
-		}
-		est.SetPool(pool)
-		if err := est.SetSampleFlat(part); err != nil {
-			return nil, err
-		}
-		if err := est.PinQuantConstants(pinScale, pinOff); err != nil {
-			return nil, err
-		}
-		if err := est.SetBandwidth(h); err != nil {
-			return nil, err
-		}
-		if prec != mathx.Float64 {
-			est.SetPrecision(prec)
-		}
-		shards[i].est = est
-	}
-	return shards, nil
-}
-
-func (g *Group) instrument(reg *metrics.Registry) {
-	g.met.reg = reg
-	if reg == nil {
-		return
-	}
-	g.met.gathers = reg.Counter("shard.gathers")
-	g.met.degraded = reg.Counter("shard.degraded_gathers")
-	g.met.feedbacks = reg.Counter("shard.feedbacks")
-	g.met.analyzes = reg.Counter("shard.analyzes")
-	g.met.replacements = reg.Counter("shard.replacements")
-	g.met.gradRejected = reg.Counter("shard.grad_rejected")
-	g.met.resAccepts = reg.Counter("shard.res_accepts")
-	g.met.invalidInputs = reg.Counter("shard.invalid_inputs")
-	g.met.ignoredDeletes = reg.Counter("shard.ignored_deletes")
-	g.met.ignoredUpdates = reg.Counter("shard.ignored_updates")
-	g.met.deleteEvicts = reg.Counter("shard.delete_evictions")
-	g.met.updatePatches = reg.Counter("shard.update_patches")
-	reg.RegisterGaugeFunc("shard.shards", func() float64 { return float64(g.k) })
-	reg.RegisterGaugeFunc("shard.sample_size", func() float64 {
-		if vs := g.views.Load(); vs != nil {
-			return float64(vs.sTotal)
-		}
-		return 0
-	})
-	for i, sh := range g.shards {
-		sv := reg.WithPrefix(fmt.Sprintf("shard%d.", i))
-		sh.replacements = sv.Counter("replacements")
-		sh.analyzes = sv.Counter("analyzes")
-		est := sh.est
-		sv.RegisterGaugeFunc("size", func() float64 {
-			if est == nil {
-				return 0
-			}
-			return float64(est.Size())
-		})
-	}
-}
-
-// publishLocked snapshots every shard into a fresh view set and swaps it
-// in. Caller holds g.mu; sample mutations all happen under g.mu, so the
-// snapshots of one publish are mutually consistent.
-func (g *Group) publishLocked() {
-	prev := g.views.Load()
-	vs := &viewSet{
-		views:  make([]*kde.View, g.k),
-		sizes:  make([]int, g.k),
-		prec:   g.prec,
-		sTotal: 0,
-	}
-	for i, sh := range g.shards {
-		if sh.est == nil {
-			continue
-		}
-		var pv *kde.View
-		if prev != nil {
-			pv = prev.views[i]
-		}
-		vs.views[i] = sh.est.Snapshot(pv)
-		vs.sizes[i] = sh.est.Size()
-		vs.sTotal += vs.sizes[i]
-	}
-	g.views.Store(vs)
-}
-
-// Republish re-snapshots the current model state — e.g. to pin a changed
-// process-global erf mode into the serving views.
-func (g *Group) Republish() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if !g.closed {
-		g.publishLocked()
-	}
-}
-
-// setHealth degrades monotonically (never back toward Healthy), exactly
-// like the serving core's rung semantics.
-func (g *Group) setHealth(h core.Health, reason string) {
-	for {
-		cur := g.health.Load()
-		if int32(h) <= cur {
-			return
-		}
-		if g.health.CompareAndSwap(cur, int32(h)) {
-			g.evMu.Lock()
-			g.lastEvent = reason
-			g.evMu.Unlock()
-			return
-		}
-	}
-}
-
-// Health returns the group's degradation rung.
-func (g *Group) Health() core.Health { return core.Health(g.health.Load()) }
-
-// LastDegradation describes the most recent health transition.
-func (g *Group) LastDegradation() string {
-	g.evMu.Lock()
-	defer g.evMu.Unlock()
-	return g.lastEvent
-}
-
-// Dims returns the model dimensionality.
-func (g *Group) Dims() int { return g.d }
-
-// Shards returns K.
-func (g *Group) Shards() int { return g.k }
-
-// Size returns the total sample size across shards.
-func (g *Group) Size() int {
-	if vs := g.views.Load(); vs != nil {
-		return vs.sTotal
-	}
-	return 0
-}
-
-// ShardSizes returns the per-shard sample sizes.
-func (g *Group) ShardSizes() []int {
-	vs := g.views.Load()
-	if vs == nil {
-		return make([]int, g.k)
-	}
-	return append([]int(nil), vs.sizes...)
-}
-
-// Queries returns the number of estimated queries.
-func (g *Group) Queries() int { return int(g.queries.Load()) }
-
-// Bandwidth returns a copy of the current uniform bandwidth.
-func (g *Group) Bandwidth() []float64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return append([]float64(nil), g.h...)
-}
-
-// Precision returns the configured serving precision.
-func (g *Group) Precision() mathx.Precision {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.prec
-}
-
-// SetPrecision switches every shard's serving tier and republishes.
-func (g *Group) SetPrecision(p mathx.Precision) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.closed {
-		return
-	}
-	g.prec = p
-	for _, sh := range g.shards {
-		if sh.est != nil {
-			sh.mu.Lock()
-			sh.est.SetPrecision(p)
-			sh.mu.Unlock()
-		}
-	}
-	g.publishLocked()
-}
-
-// Close detaches the group: subsequent mutations (feedback, ANALYZE,
-// checkpoint, inserts) fail with ErrClosed and the group's gauge functions
-// are unregistered, but the last published snapshot stays live — exactly
-// like core.Server.Close — so estimates racing an eviction finish normally
-// from a handle they already hold instead of failing mid-request.
-func (g *Group) Close() {
-	// Unsubscribe before taking g.mu: Table.Unsubscribe waits out in-flight
-	// callbacks, and those callbacks take g.mu — holding it here would
-	// deadlock. After Unsubscribe returns the feed can no longer reach g.
-	g.tab.Unsubscribe(g)
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.closed {
-		return
-	}
-	g.closed = true
-	if g.met.reg != nil {
-		g.met.reg.UnregisterGaugeFuncsPrefix("shard")
-	}
-}
-
-// validateQuery applies the serving core's strict query validation
-// (shape, NaN, ±Inf, inverted bounds) so the HTTP layer maps failures to
-// the same 400 taxonomy via core.ErrInvalidQuery.
-func validateQuery(d int, q query.Range) error {
-	if len(q.Lo) != len(q.Hi) {
-		return &core.InvalidQueryError{Dim: -1, Reason: fmt.Sprintf("bound length mismatch: %d vs %d", len(q.Lo), len(q.Hi))}
-	}
-	if q.Dims() != d {
-		return &core.InvalidQueryError{Dim: -1, Reason: fmt.Sprintf("query has %d dims, estimator has %d", q.Dims(), d)}
-	}
-	for j := range q.Lo {
-		lo, hi := q.Lo[j], q.Hi[j]
-		switch {
-		case math.IsNaN(lo) || math.IsNaN(hi):
-			return &core.InvalidQueryError{Dim: j, Reason: "NaN bound"}
-		case math.IsInf(lo, 0) || math.IsInf(hi, 0):
-			return &core.InvalidQueryError{Dim: j, Reason: "infinite bound"}
-		case lo > hi:
-			return &core.InvalidQueryError{Dim: j, Reason: fmt.Sprintf("inverted bounds [%g, %g]", lo, hi)}
-		}
-	}
-	return nil
-}
-
-// Estimate estimates one query.
-func (g *Group) Estimate(q query.Range) (float64, error) {
-	est, _, err := g.EstimateDetail(context.Background(), q)
-	return est, err
-}
-
-// EstimateContext is Estimate with deadline/cancellation propagation: the
-// context is consulted before the scatter, at each shard task, and before
-// the gather, so an expired request never burns shard CPU.
-func (g *Group) EstimateContext(ctx context.Context, q query.Range) (float64, error) {
-	est, _, err := g.EstimateDetail(ctx, q)
-	return est, err
-}
-
-// EstimateDetail is EstimateContext plus the per-request degraded flag:
-// true when the gather lost at least one shard and renormalized over the
-// survivors.
-func (g *Group) EstimateDetail(ctx context.Context, q query.Range) (float64, bool, error) {
-	ests := [1]float64{}
-	degraded, err := g.EstimateBatchDetail(ctx, []query.Range{q}, ests[:])
-	if err != nil {
-		return 0, false, err
-	}
-	return ests[0], degraded, nil
-}
-
-// EstimateBatch estimates every query of qs into ests (length len(qs)).
-// Bit-identical to the same batch against a single-shard group — and to
-// an unsharded kde.Estimator over the same global sample — for any K and
-// any worker count.
-func (g *Group) EstimateBatch(qs []query.Range, ests []float64) error {
-	_, err := g.EstimateBatchDetail(context.Background(), qs, ests)
-	return err
-}
-
-// EstimateBatchDetail scatters the batch across the shards and gathers
-// the per-chunk partials in global chunk order. It reports whether the
-// result was degraded by a shard failure (renormalized over survivors).
-func (g *Group) EstimateBatchDetail(ctx context.Context, qs []query.Range, ests []float64) (bool, error) {
-	nq := len(qs)
-	if len(ests) != nq {
-		return false, fmt.Errorf("shard: estimate buffer has %d entries, want %d", len(ests), nq)
-	}
-	for i := range qs {
-		if err := validateQuery(g.d, qs[i]); err != nil {
-			g.met.invalidInputs.Inc()
-			return false, err
-		}
-	}
-	if nq == 0 {
-		return false, nil
-	}
-	vs := g.views.Load()
-	if vs == nil || vs.sTotal == 0 {
-		return false, ErrClosed
-	}
-	// Fault injection fires serially in shard-index order before the
-	// scatter, so occurrence schedules are deterministic regardless of
-	// how the pool interleaves the shard tasks.
-	var failed []bool
-	anyFail := false
-	if g.faults != nil {
-		failed = make([]bool, g.k)
-		for k := 0; k < g.k; k++ {
-			if vs.views[k] != nil && g.faults.Fire(fault.ShardFail) {
-				failed[k] = true
-				anyFail = true
-			}
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return false, err
-	}
-
-	partials := make([][]float64, g.k)
-	errs := make([]error, g.k)
-	g.pool.Each(g.k, func(k int) {
-		v := vs.views[k]
-		if v == nil || (failed != nil && failed[k]) {
-			return
-		}
-		// Each shard task inherits the request deadline: once the
-		// context is done, remaining shards skip their pass entirely.
-		if ctx.Err() != nil {
-			return
-		}
-		p := g.bufs.Get(parallel.Chunks(v.Size()) * nq)
-		if err := v.SelectivityBatchPartials(qs, p); err != nil {
-			errs[k] = err
-			g.bufs.Put(p)
-			return
-		}
-		partials[k] = p
-	})
-	release := func() {
-		for _, p := range partials {
-			if p != nil {
-				g.bufs.Put(p)
-			}
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		release()
-		return false, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			release()
-			return false, err
-		}
-	}
-
-	sSurv := vs.sTotal
-	if anyFail {
-		sSurv = 0
-		for k := 0; k < g.k; k++ {
-			if vs.views[k] != nil && !failed[k] {
-				sSurv += vs.sizes[k]
-			}
-		}
-		if sSurv == 0 {
-			release()
-			return false, fmt.Errorf("%w (%d of %d)", ErrAllShardsFailed, g.k, g.k)
-		}
-	}
-	nc := parallel.Chunks(vs.sTotal)
-	for iq := 0; iq < nq; iq++ {
-		sum := 0.0
-		for c := 0; c < nc; c++ {
-			k := c % g.k
-			if partials[k] == nil {
-				continue // failed shard: renormalize over survivors
-			}
-			sum += partials[k][(c/g.k)*nq+iq]
-		}
-		// Division, not multiplication by a reciprocal: the single-shard
-		// reduction divides, and one ULP is a bit-identity failure.
-		ests[iq] = sum / float64(sSurv)
-	}
-	release()
-	g.queries.Add(int64(nq))
-	g.met.gathers.Inc()
-	if anyFail {
-		g.met.degraded.Inc()
-		g.setHealth(core.Degraded, "shard lost during scatter; serving from survivors")
-	}
-	return anyFail, nil
-}
-
-// owner maps a global sample index to its shard and local index under the
-// chunk-round-robin partitioning rule.
-func (g *Group) owner(gi int) (shard, local int) {
-	c := gi / parallel.ChunkSize
-	return c % g.k, (c/g.k)*parallel.ChunkSize + gi%parallel.ChunkSize
-}
-
-// Feedback folds one executed query's true selectivity into the model:
-// karma sample maintenance first (replacements route to the owning
-// shard), then the RMSprop bandwidth step over the gradient gathered in
-// global chunk order. The resulting model trajectory is invariant in K.
-func (g *Group) Feedback(q query.Range, actual float64) error {
-	if err := validateQuery(g.d, q); err != nil {
-		g.met.invalidInputs.Inc()
-		return err
-	}
-	if math.IsNaN(actual) || math.IsInf(actual, 0) {
-		g.met.invalidInputs.Inc()
-		return fmt.Errorf("%w: non-finite true selectivity %v", core.ErrInvalidFeedback, actual)
-	}
-	if actual < 0 {
-		actual = 0
-	} else if actual > 1 {
-		actual = 1
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.closed {
-		return ErrClosed
-	}
-	defer g.publishLocked()
-
-	// Per-point contributions, gathered into global sample order, and the
-	// estimate reduced over the global chunk grid — the inputs of the
-	// karma update, identical for every K.
-	contrib := make([]float64, g.sTotal)
-	for k, sh := range g.shards {
-		if sh.est == nil {
-			continue
-		}
-		cbuf, _, err := sh.est.Contributions(q, nil)
-		if err != nil {
-			return err
-		}
-		size := sh.est.Size()
-		for lc, lnc := 0, parallel.Chunks(size); lc < lnc; lc++ {
-			c := lc*g.k + k
-			glo, ghi := parallel.ChunkBounds(c, g.sTotal)
-			llo := lc * parallel.ChunkSize
-			copy(contrib[glo:ghi], cbuf[llo:llo+(ghi-glo)])
-		}
-	}
-	nc := parallel.Chunks(g.sTotal)
-	sum := 0.0
-	for c := 0; c < nc; c++ {
-		lo, hi := parallel.ChunkBounds(c, g.sTotal)
-		ps := 0.0
-		for i := lo; i < hi; i++ {
-			ps += contrib[i]
-		}
-		sum += ps
-	}
-	est := sum / float64(g.sTotal)
-
-	// Bandwidth gradient: per-shard chunk partials (mass + d gradient
-	// terms) merged in the same global chunk order, then scaled by the
-	// loss derivative (eq. 14).
-	stride := g.d + 1
-	gparts := make([][]float64, g.k)
-	for k, sh := range g.shards {
-		if sh.est == nil {
-			continue
-		}
-		p := g.bufs.Get(parallel.Chunks(sh.est.Size()) * stride)
-		if err := sh.est.GradientBatchPartials([]query.Range{q}, p); err != nil {
-			return err
-		}
-		gparts[k] = p
-	}
-	msum := 0.0
-	grad := make([]float64, g.d)
-	for c := 0; c < nc; c++ {
-		pr := gparts[c%g.k][(c/g.k)*stride:][:stride]
-		msum += pr[0]
-		for j := 0; j < g.d; j++ {
-			grad[j] += pr[1+j]
-		}
-	}
-	for _, p := range gparts {
-		if p != nil {
-			g.bufs.Put(p)
-		}
-	}
-	inv := 1 / float64(g.sTotal)
-	estG := msum * inv
-	if g.faults.Fire(fault.GradientNonFinite) {
-		grad[0] = math.NaN()
-	}
-	dl := g.lf.Deriv(estG, actual)
-	for j := range grad {
-		grad[j] = grad[j] * inv * dl
-	}
-
-	// Karma maintenance first (it consumes contributions computed under
-	// the pre-step bandwidth), mirroring core.Feedback.
-	bound := 0.0
-	if actual == 0 {
-		bound = sample.EmptyRegionBound(q, g.h)
-	}
-	idx, err := g.karma.Update(contrib, est, actual, bound)
-	if err != nil {
-		return err
-	}
-	for _, gi := range idx {
-		row, ok := g.tab.RandomRow(g.rng)
-		if !ok {
-			break // empty table: nothing to replace with
-		}
-		g.replaceLocked(gi, row)
-	}
-
-	updated, oerr := g.learn.Observe(grad, g.h)
-	if oerr != nil {
-		// Same policy as the serving core: a rejected non-finite gradient
-		// is absorbed, not propagated.
-		g.met.gradRejected.Inc()
-		g.met.feedbacks.Inc()
-		return nil
-	}
-	if updated {
-		bad := false
-		for _, v := range g.h {
-			if math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 {
-				bad = true
-				break
-			}
-		}
-		if bad {
-			g.resetToScottLocked("learner produced a non-positive or non-finite bandwidth")
-		} else {
-			g.setBandwidthLocked()
-		}
-	}
-	g.met.feedbacks.Inc()
-	return nil
-}
-
-// replaceLocked swaps global sample index gi for row on its owning shard.
-// Caller holds g.mu; the owning shard's lock bounds the mutation so an
-// ANALYZE sample copy on that shard never observes a torn row.
-func (g *Group) replaceLocked(gi int, row []float64) {
-	for _, v := range row {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return // a non-finite row would poison every future estimate
-		}
-	}
-	k, li := g.owner(gi)
-	sh := g.shards[k]
-	if sh.est == nil {
-		return
-	}
-	sh.mu.Lock()
-	err := sh.est.ReplacePoint(li, row)
-	sh.mu.Unlock()
-	if err == nil {
-		sh.replacements.Inc()
-		g.met.replacements.Inc()
-	}
-}
-
-// setBandwidthLocked installs g.h on every shard. Caller holds g.mu.
-func (g *Group) setBandwidthLocked() {
-	for _, sh := range g.shards {
-		if sh.est == nil {
-			continue
-		}
-		sh.mu.Lock()
-		_ = sh.est.SetBandwidth(g.h)
-		sh.mu.Unlock()
-	}
-}
-
-// resetToScottLocked recovers from a poisoned bandwidth by re-deriving
-// Scott's rule over the reassembled global sample. Caller holds g.mu.
-func (g *Group) resetToScottLocked(reason string) {
-	flat := g.sampleFlatLocked()
-	copy(g.h, kde.ScottBandwidth(flat, g.d))
-	g.setBandwidthLocked()
-	g.learn.Reset()
-	g.setHealth(core.Degraded, reason)
-}
-
-// sampleFlatLocked reassembles the global row-major sample from the
-// shards in global index order. Caller holds g.mu.
-func (g *Group) sampleFlatLocked() []float64 {
-	flat := make([]float64, g.sTotal*g.d)
-	for k, sh := range g.shards {
-		if sh.est == nil {
-			continue
-		}
-		data := sh.est.SampleFlat()
-		size := sh.est.Size()
-		for lc, lnc := 0, parallel.Chunks(size); lc < lnc; lc++ {
-			c := lc*g.k + k
-			glo, ghi := parallel.ChunkBounds(c, g.sTotal)
-			llo := lc * parallel.ChunkSize
-			copy(flat[glo*g.d:ghi*g.d], data[llo*g.d:(llo+(ghi-glo))*g.d])
-		}
-	}
-	return flat
-}
-
-// Analyze re-optimizes the bandwidth over the next shard in round-robin
-// order — the sharded ANALYZE entry point.
-func (g *Group) Analyze(fbs []query.Feedback) error {
-	g.mu.Lock()
-	i := g.anNext % g.k
-	g.anNext++
-	g.mu.Unlock()
-	return g.AnalyzeShard(i, fbs)
-}
-
-// AnalyzeShard re-runs the batch bandwidth optimization (§3.4) over shard
-// i's sample and installs the result group-wide. The sample is copied
-// under shard i's lock alone and the optimization holds NO lock, so
-// estimates (lock-free) and feedback on other shards proceed throughout;
-// only the final install takes the group lock.
-func (g *Group) AnalyzeShard(i int, fbs []query.Feedback) error {
-	if i < 0 || i >= g.k {
-		return fmt.Errorf("shard: analyze target %d out of range [0,%d)", i, g.k)
-	}
-	g.mu.Lock()
-	if g.closed {
-		g.mu.Unlock()
-		return ErrClosed
-	}
-	g.analyzes++
-	n := g.analyzes
-	g.mu.Unlock()
-
-	sh := g.shards[i]
-	sh.mu.Lock()
-	var flat []float64
-	if sh.est != nil {
-		flat = append([]float64(nil), sh.est.SampleFlat()...)
-	}
-	sh.mu.Unlock()
-	if len(flat) == 0 {
-		return nil // empty shard: nothing to optimize
-	}
-
-	opts := bandwidth.OptimalConfig{
-		Loss: g.lf,
-		// A dedicated deterministic stream per run: the counted
-		// maintenance RNG must not be perturbed by ANALYZE, or restored
-		// groups would diverge from their checkpoint origin.
-		Rand:    rand.New(rand.NewSource(g.cfg.Seed + 7919*int64(n))),
-		Workers: g.cfg.Workers,
-		Metrics: g.met.reg,
-	}
-	h, err := bandwidth.Optimal(flat, g.d, fbs, opts)
-	if err != nil {
-		// Degrade but keep serving under the pre-ANALYZE bandwidth.
-		g.setHealth(core.Degraded, fmt.Sprintf("shard %d analyze failed: %v", i, err))
-		return err
-	}
-
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.closed {
-		return ErrClosed
-	}
-	copy(g.h, h)
-	g.setBandwidthLocked()
-	sh.analyzes.Inc()
-	g.met.analyzes.Inc()
-	g.publishLocked()
-	return nil
-}
-
-// findSlotLocked scans the global sample in global index order for an
-// exact match of row, returning -1 when absent. Global order — not
-// shard-by-shard — makes the chosen slot invariant in K even when the
-// sample holds duplicates, mirroring core.Estimator.findSampleSlot.
-// Caller holds g.mu.
-func (g *Group) findSlotLocked(row []float64) int {
-	flats := make([][]float64, g.k)
-	for k, sh := range g.shards {
-		if sh.est != nil {
-			flats[k] = sh.est.SampleFlat()
-		}
-	}
-	d := g.d
-slots:
-	for gi := 0; gi < g.sTotal; gi++ {
-		k, li := g.owner(gi)
-		flat := flats[k]
-		if flat == nil || (li+1)*d > len(flat) {
-			continue
-		}
-		p := flat[li*d : (li+1)*d]
-		for j, v := range row {
-			if p[j] != v {
-				continue slots
-			}
-		}
-		return gi
-	}
-	return -1
-}
-
-// applyInsertLocked runs reservoir sampling (§4.2) against the GLOBAL
-// reservoir, routing the accepted slot to its owning shard. Caller holds
-// g.mu; returns whether the sample changed.
-func (g *Group) applyInsertLocked(row []float64) bool {
-	if g.res == nil {
-		return false
-	}
-	slot, accept := g.res.Offer()
-	if !accept {
-		return false
-	}
-	g.met.resAccepts.Inc()
-	r := append([]float64(nil), row...)
-	g.replaceLocked(slot, r)
-	g.karma.Reset(slot)
-	return true
-}
-
-// applyDeleteLocked evicts a deleted tuple's sampled pre-image, replacing
-// it with a copy of a uniformly random surviving sample point (drawn from
-// the global counted rng, looked up in global index order, so the outcome
-// is invariant in K and bit-identical to the unsharded path). Like
-// core.Estimator.applyDelete it never touches the table: the apply path
-// runs while table writers may be parked on ring backpressure. Deletes of
-// unsampled tuples stay deferred to karma (shard.ignored_deletes). Caller
-// holds g.mu.
-func (g *Group) applyDeleteLocked(row []float64) bool {
-	if g.res == nil {
-		return false
-	}
-	slot := g.findSlotLocked(row)
-	if slot < 0 {
-		g.met.ignoredDeletes.Inc()
-		return false
-	}
-	if g.sTotal < 2 {
-		g.met.ignoredDeletes.Inc()
-		return false
-	}
-	j := g.rng.Intn(g.sTotal - 1)
-	if j >= slot {
-		j++
-	}
-	k, li := g.owner(j)
-	sh := g.shards[k]
-	if sh.est == nil {
-		g.met.ignoredDeletes.Inc()
-		return false
-	}
-	repl := append([]float64(nil), sh.est.SampleFlat()[li*g.d:(li+1)*g.d]...)
-	g.replaceLocked(slot, repl)
-	g.karma.Reset(slot)
-	g.met.deleteEvicts.Inc()
-	return true
-}
-
-// applyUpdateLocked patches an updated tuple's sampled pre-image in place
-// with the post-image and resets its karma; updates of unsampled tuples
-// stay deferred to karma (shard.ignored_updates). Caller holds g.mu.
-func (g *Group) applyUpdateLocked(pre, post []float64) bool {
-	if g.res == nil {
-		return false
-	}
-	slot := g.findSlotLocked(pre)
-	if slot < 0 {
-		g.met.ignoredUpdates.Inc()
-		return false
-	}
-	r := append([]float64(nil), post...)
-	g.replaceLocked(slot, r)
-	g.karma.Reset(slot)
-	g.met.updatePatches.Inc()
-	return true
-}
-
-// applyMutationLocked dispatches one change-feed event and advances the
-// ingest cursor. Caller holds g.mu.
-func (g *Group) applyMutationLocked(m *table.Mutation) bool {
-	var changed bool
-	switch m.Kind {
-	case table.MutInsert:
-		changed = g.applyInsertLocked(m.Row)
-	case table.MutDelete:
-		changed = g.applyDeleteLocked(m.Row)
-	case table.MutUpdate:
-		changed = g.applyUpdateLocked(m.Pre, m.Row)
-	}
-	if m.Seq > g.ingestSeq {
-		g.ingestSeq = m.Seq
-	}
-	return changed
-}
-
-// ApplyMutations applies a batch of change-feed events in sequence order
-// under g.mu with a single view-set republish at the end — the sharded
-// counterpart of core.Server.ApplyMutations, driven by the ingestion
-// bridge. Bit-identical to one-at-a-time apply at every K: only the
-// publish frequency differs.
-func (g *Group) ApplyMutations(ms []table.Mutation) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.closed {
-		return ErrClosed
-	}
-	changed := false
-	for i := range ms {
-		if g.applyMutationLocked(&ms[i]) {
-			changed = true
-		}
-	}
-	if changed {
-		g.publishLocked()
-	}
-	return nil
-}
-
-// IngestCursor returns the highest change-feed sequence number applied so
-// far; it is captured in group checkpoints for exactly-once resume.
-func (g *Group) IngestCursor() uint64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.ingestSeq
-}
-
-// Detach removes the group's direct table subscription; a serving stack
-// then routes the feed through ApplyMutations via the ingestion bridge.
-func (g *Group) Detach() { g.tab.Unsubscribe(g) }
-
-// OnInsert implements table.Listener: the direct single-writer path.
-// Serving stacks detach it and route the feed through internal/ingest.
-func (g *Group) OnInsert(row []float64) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.closed {
-		return
-	}
-	if g.applyInsertLocked(row) {
-		g.publishLocked()
-	}
-}
-
-// OnDelete implements table.Listener (direct single-writer path); see
-// applyDeleteLocked for the evict-and-resample semantics.
-func (g *Group) OnDelete(row []float64) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.closed {
-		return
-	}
-	if g.applyDeleteLocked(row) {
-		g.publishLocked()
-	}
-}
-
-// OnUpdate implements table.Listener (direct single-writer path); see
-// applyUpdateLocked for the patch-in-place semantics.
-func (g *Group) OnUpdate(oldRow, newRow []float64) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.closed {
-		return
-	}
-	if g.applyUpdateLocked(oldRow, newRow) {
-		g.publishLocked()
-	}
+	return core.NewServer(est, core.ServeConfig{MaxBatch: 1}), nil
 }

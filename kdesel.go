@@ -33,7 +33,6 @@ import (
 	"kdesel/internal/mathx"
 	"kdesel/internal/query"
 	"kdesel/internal/registry"
-	"kdesel/internal/shard"
 	"kdesel/internal/table"
 )
 
@@ -273,24 +272,6 @@ var (
 	// ErrDuplicateModel: Admit of an already-admitted key.
 	ErrDuplicateModel = registry.ErrDuplicateModel
 )
-
-// ShardedGroup is a scale-out estimator: the reservoir sample is
-// partitioned across K shard estimators (sample chunk c lives on shard
-// c%K), estimates scatter to every shard and gather the per-shard partial
-// sums in shard-index order, so results are bit-identical (Float64bits)
-// to a single-shard estimator at any K and worker count. ANALYZE
-// re-optimizes one shard's bandwidth under that shard's lock alone;
-// serving traffic on the other shards never blocks on it. A Registry
-// admits these via AdmitSharded.
-type ShardedGroup = shard.Group
-
-// ShardConfig tunes a ShardedGroup; see shard.Config for all fields.
-type ShardConfig = shard.Config
-
-// NewShardedGroup builds a K-shard group over tab's sample.
-func NewShardedGroup(tab *Table, cfg ShardConfig) (*ShardedGroup, error) {
-	return shard.Build(tab, cfg)
-}
 
 // HTTPServer is the networked serving frontend: an HTTP/JSON facade over a
 // Registry with per-request deadline propagation, bounded admission (load
