@@ -22,6 +22,10 @@ GO ?= go
 # ingest-lag: ≥ 10k mutations into serving models under the race detector,
 #   exactly-once replay from a restored cursor (K=1 and K=4), and the drift
 #   detector scheduling a background ANALYZE.
+# lifecycle: eviction writes a checkpoint exactly when the model changed
+#   since its newest file, served-estimate counts survive evictions, and
+#   seeded operation sequences through evict/restore match a reference
+#   estimator bit for bit.
 GATES = \
 	mathx-accuracy ./internal/mathx/ 'TestFastErfAccuracy|TestModeDefaultExact' plain \
 		TestFastErfAccuracy,TestModeDefaultExact \
@@ -43,9 +47,12 @@ GATES = \
 	ingest-lag ./internal/ingest/ TestIngestRaceUnderServing race TestIngestRaceUnderServing \
 	ingest-lag ./internal/ingest/ \
 		'TestIngestExactlyOnceRestoreCore|TestIngestExactlyOnceRestoreSharded|TestIngestDriftTriggersAnalyze' plain \
-		TestIngestExactlyOnceRestoreCore,TestIngestExactlyOnceRestoreSharded,TestIngestDriftTriggersAnalyze
+		TestIngestExactlyOnceRestoreCore,TestIngestExactlyOnceRestoreSharded,TestIngestDriftTriggersAnalyze \
+	lifecycle ./internal/registry/ \
+		'TestEvictCleanModelWritesNothing|TestEvictDirtyModelWrites|TestServedCountSurvivesEviction|TestLifecycleLockstep' race \
+		TestEvictCleanModelWritesNothing,TestEvictDirtyModelWrites,TestServedCountSurvivesEviction,TestLifecycleLockstep
 
-GATE_NAMES = mathx-accuracy precision-accuracy network-resilience shard-determinism ingest-lag
+GATE_NAMES = mathx-accuracy precision-accuracy network-resilience shard-determinism ingest-lag lifecycle
 
 .PHONY: verify fmtcheck build test race race-resilience gates $(GATE_NAMES) chaos vet bench
 

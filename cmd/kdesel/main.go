@@ -598,7 +598,8 @@ func runModels(r modelsRun) {
 		fmt.Println(line)
 	}
 
-	// Close checkpoints every resident model when -checkpoint-dir is set.
+	// Close checkpoints every resident model that changed since its newest
+	// checkpoint file when -checkpoint-dir is set.
 	reg.Close()
 	if r.ckptDir != "" {
 		fmt.Fprintf(os.Stderr, "model checkpoints written to %s\n", r.ckptDir)

@@ -140,24 +140,30 @@ func UnmarshalMeta(b []byte, out any) (uint32, error) {
 // after the checksum was computed) — the simulated disk corruption of the
 // chaos suite. Pass nil in production.
 func WriteFile(path string, payload any, inj *fault.Injector) error {
-	return WriteFileMeta(path, payload, 0, inj)
-}
-
-// WriteFileMeta is WriteFile with an explicit frame meta word.
-func WriteFileMeta(path string, payload any, meta uint32, inj *fault.Injector) error {
-	buf, err := MarshalMeta(payload, meta)
+	buf, err := Frame(payload, 0, inj)
 	if err != nil {
 		return err
+	}
+	return WriteAtomic(path, buf)
+}
+
+// Frame is MarshalMeta plus the fault.CheckpointCorrupt injection of
+// WriteFile: it returns exactly the bytes a checkpoint write installs, so
+// a caller can compare them with a file on disk before writing them.
+func Frame(payload any, meta uint32, inj *fault.Injector) ([]byte, error) {
+	buf, err := MarshalMeta(payload, meta)
+	if err != nil {
+		return nil, err
 	}
 	if inj.Fire(fault.CheckpointCorrupt) && len(buf) > headerLen {
 		// Flip one payload bit so the CRC check must catch it on read.
 		buf[headerLen+(len(buf)-headerLen-4)/2] ^= 0x40
 	}
-	return writeAtomic(path, buf)
+	return buf, nil
 }
 
-// writeAtomic installs buf at path via the temp+sync+rename protocol.
-func writeAtomic(path string, buf []byte) error {
+// WriteAtomic installs buf at path via the temp+sync+rename protocol.
+func WriteAtomic(path string, buf []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".ckpt-*")
 	if err != nil {

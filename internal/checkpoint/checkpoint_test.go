@@ -173,7 +173,11 @@ func TestMissingFile(t *testing.T) {
 func TestMetaRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "meta.ckpt")
 	want := samplePayload()
-	if err := WriteFileMeta(path, want, 0x0203, nil); err != nil {
+	buf, err := Frame(want, 0x0203, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteAtomic(path, buf); err != nil {
 		t.Fatal(err)
 	}
 	var got payload
@@ -189,14 +193,13 @@ func TestMetaRoundTrip(t *testing.T) {
 	}
 }
 
-// TestV1FrameBackCompat: version-1 frames (written before the meta word
-// existed) still decode, reporting meta 0. The frame is crafted by hand in
-// the documented v1 layout: magic, version, payloadLen, payload, crc.
-func TestV1FrameBackCompat(t *testing.T) {
-	want := samplePayload()
+// v1Frame crafts a version-1 frame by hand in the documented v1 layout:
+// magic, version, payloadLen, payload, crc.
+func v1Frame(tb testing.TB, p payload) []byte {
+	tb.Helper()
 	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(&want); err != nil {
-		t.Fatal(err)
+	if err := gob.NewEncoder(&body).Encode(&p); err != nil {
+		tb.Fatal(err)
 	}
 	buf := make([]byte, headerLenV1+body.Len()+4)
 	copy(buf[0:4], magic[:])
@@ -205,9 +208,15 @@ func TestV1FrameBackCompat(t *testing.T) {
 	copy(buf[headerLenV1:], body.Bytes())
 	sum := crc32.Checksum(body.Bytes(), castagnoli)
 	binary.LittleEndian.PutUint32(buf[headerLenV1+body.Len():], sum)
+	return buf
+}
 
+// TestV1FrameBackCompat: version-1 frames (written before the meta word
+// existed) still decode, reporting meta 0.
+func TestV1FrameBackCompat(t *testing.T) {
+	want := samplePayload()
 	var got payload
-	meta, err := UnmarshalMeta(buf, &got)
+	meta, err := UnmarshalMeta(v1Frame(t, want), &got)
 	if err != nil {
 		t.Fatalf("v1 frame rejected: %v", err)
 	}
@@ -217,4 +226,29 @@ func TestV1FrameBackCompat(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("v1 payload mismatch: got %+v want %+v", got, want)
 	}
+}
+
+// FuzzUnmarshalMeta: no byte string panics the frame reader, through the
+// magic, the v1 and v2 headers, the length check and the CRC. Every input
+// either decodes or fails with ErrCorrupt (which a payload decode error
+// wraps) or a *VersionError. The seeds are a valid v1 and a valid v2
+// frame and truncations of each.
+func FuzzUnmarshalMeta(f *testing.F) {
+	v2, err := MarshalMeta(samplePayload(), 0x0203)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, frame := range [][]byte{v1Frame(f, samplePayload()), v2} {
+		for _, n := range []int{len(frame), len(frame) - 1, len(frame) / 2, headerLen, headerLenV1, 4, 0} {
+			f.Add(frame[:n])
+		}
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var out payload
+		_, err := UnmarshalMeta(b, &out)
+		var ve *VersionError
+		if err != nil && !errors.Is(err, ErrCorrupt) && !errors.As(err, &ve) {
+			t.Fatalf("UnmarshalMeta(%x): untyped error %v", b, err)
+		}
+	})
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -50,9 +51,20 @@ const maxRestoreDraws = 1 << 32
 // read from the host-resident mirror on the device path, so a failing
 // device cannot block checkpointing. The estimator remains usable.
 func (e *Estimator) Checkpoint(path string) error {
+	_, err := e.checkpoint(path, "")
+	return err
+}
+
+// checkpoint writes the estimator's checkpoint frame to path unless the
+// file newest already holds exactly those bytes — then that file is the
+// checkpoint, and nothing is written. It reports whether it wrote. An
+// empty newest, or one that cannot be read, always writes. The frame
+// leaves out the served-estimate counter (snapshot.Queries): it is
+// telemetry, and estimate-only traffic would otherwise change every frame.
+func (e *Estimator) checkpoint(path, newest string) (bool, error) {
 	flat, err := e.sampleHostLocal()
 	if err != nil {
-		return err
+		return false, err
 	}
 	st := chkState{
 		Snap:      e.makeSnapshot(flat),
@@ -74,11 +86,18 @@ func (e *Estimator) Checkpoint(path string) error {
 	}
 	// The configured serving precision rides in the frame's meta word (low
 	// byte), so restore rebuilds — and re-verifies — the same tier.
-	if err := checkpoint.WriteFileMeta(path, &st, uint32(e.precWant), e.faults); err != nil {
-		return err
+	buf, err := checkpoint.Frame(&st, uint32(e.precWant), e.faults)
+	if err != nil {
+		return false, err
+	}
+	if old, err := os.ReadFile(newest); err == nil && bytes.Equal(old, buf) {
+		return false, nil
+	}
+	if err := checkpoint.WriteAtomic(path, buf); err != nil {
+		return false, err
 	}
 	e.met.checkpoints.Inc()
-	return nil
+	return true, nil
 }
 
 // RestoreCheckpoint rebuilds an estimator from a checkpoint file written by

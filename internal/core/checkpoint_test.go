@@ -2,7 +2,9 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -11,6 +13,7 @@ import (
 	"kdesel/internal/fault"
 	"kdesel/internal/gpu"
 	"kdesel/internal/learner"
+	"kdesel/internal/mathx"
 	"kdesel/internal/query"
 	"kdesel/internal/table"
 )
@@ -196,4 +199,78 @@ func TestCheckpointCorruptionDetectedAndRecoverable(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameEstimates(t, "after recovery", e, r, probeQueries(tab, 47, 20))
+}
+
+// TestRetireWritesOnlyChangedState: a server's conditional checkpoint
+// writes nothing while the newest file holds its frame byte for byte —
+// estimates do not change the frame, and a restored model re-marshals to
+// exactly the file it came from — and writes after any change: a
+// feedback, an ANALYZE, a precision switch. Retire retires the server
+// whether or not it wrote.
+func TestRetireWritesOnlyChangedState(t *testing.T) {
+	tab := buildClusteredTable(t, 300, 29)
+	e, err := Build(tab, Config{Mode: Adaptive, SampleSize: 64, Seed: 19})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewServer(e, ServeConfig{MaxBatch: 1})
+	dir, newest, n := t.TempDir(), "", 0
+	// cut runs one conditional checkpoint against the newest file and
+	// fails unless it wrote exactly when want.
+	cut := func(label string, write func(path, newest string) (bool, error), want bool) {
+		t.Helper()
+		n++
+		path := filepath.Join(dir, fmt.Sprintf("%02d.ckpt", n))
+		wrote, err := write(path, newest)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		_, statErr := os.Stat(path)
+		if wrote != want || (statErr == nil) != want {
+			t.Fatalf("%s: wrote %v (file exists %v), want %v", label, wrote, statErr == nil, want)
+		}
+		if wrote {
+			newest = path
+		}
+	}
+	rng := rand.New(rand.NewSource(39))
+	estimate := func(srv *Server) {
+		t.Helper()
+		for _, q := range probeQueries(tab, rng.Int63(), 8) {
+			if _, err := srv.Estimate(q); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	cut("never checkpointed", s.CheckpointChanged, true)
+	estimate(s)
+	cut("estimates only", s.CheckpointChanged, false)
+	fb := feedbackSet(t, tab, rng, 1, 1.5)[0]
+	if err := s.Feedback(fb.Query, fb.Actual); err != nil {
+		t.Fatal(err)
+	}
+	cut("one feedback", s.CheckpointChanged, true)
+	if err := s.Reoptimize(feedbackSet(t, tab, rng, 6, 1.5)); err != nil {
+		t.Fatal(err)
+	}
+	cut("one ANALYZE", s.CheckpointChanged, true)
+	estimate(s)
+	cut("clean retire", s.Retire, false)
+	if err := s.Reoptimize(feedbackSet(t, tab, rng, 6, 1.5)); !errors.Is(err, ErrRetired) {
+		t.Fatalf("ANALYZE after a retire that wrote nothing: err = %v, want ErrRetired", err)
+	}
+
+	r, err := RestoreCheckpoint(newest, tab, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Queries() != 0 {
+		t.Fatalf("restored model counts %d served estimates; checkpoint frames carry none", r.Queries())
+	}
+	rs := NewServer(r, ServeConfig{MaxBatch: 1})
+	estimate(rs)
+	cut("restored, estimates only", rs.CheckpointChanged, false)
+	rs.SetPrecision(mathx.Float32)
+	cut("precision switch", rs.Retire, true)
 }

@@ -52,7 +52,9 @@ type karmaCfgSnapshot struct {
 }
 
 // makeSnapshot captures the estimator's model state around the given
-// host-resident copy of the sample.
+// host-resident copy of the sample. It leaves Queries, the served-estimate
+// telemetry, at zero: Save fills it in, and checkpoint frames go without
+// it (see Estimator.checkpoint).
 func (e *Estimator) makeSnapshot(flat []float64) snapshot {
 	snap := snapshot{
 		Version:      snapshotVersion,
@@ -64,7 +66,6 @@ func (e *Estimator) makeSnapshot(flat []float64) snapshot {
 		LossName:     e.lf.Name(),
 		Seed:         e.cfg.Seed,
 		Maintained:   e.maintain,
-		Queries:      int(e.queries.Load()),
 		Replacements: e.replacements,
 		LearnerCfg:   e.cfg.Learner,
 		KarmaCfg: karmaCfgSnapshot{
@@ -80,14 +81,15 @@ func (e *Estimator) makeSnapshot(flat []float64) snapshot {
 	return snap
 }
 
-// Save serializes the estimator's model state with encoding/gob. The
-// estimator remains usable afterwards.
+// Save serializes the estimator's model state, and its served-estimate
+// count, with encoding/gob. The estimator remains usable afterwards.
 func (e *Estimator) Save(w io.Writer) error {
 	flat, err := e.sampleHost()
 	if err != nil {
 		return err
 	}
 	snap := e.makeSnapshot(flat)
+	snap.Queries = int(e.queries.Load())
 	return gob.NewEncoder(w).Encode(&snap)
 }
 

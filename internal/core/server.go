@@ -427,7 +427,7 @@ func (s *Server) FeedbackBatch(fbs []query.Feedback) error {
 // result. The optimization between them holds no lock, so estimates,
 // feedback, ingest and checkpoints all proceed; an eviction that retires
 // the server meanwhile (Retire) makes the install fail with ErrRetired
-// instead of changing a model whose final checkpoint is already written.
+// instead of changing a model whose final checkpoint is already cut.
 func (s *Server) Reoptimize(fbs []query.Feedback) error {
 	s.mu.Lock()
 	flat, opts := s.est.beginAnalyze()
@@ -447,26 +447,38 @@ func (s *Server) Reoptimize(fbs []query.Feedback) error {
 	return s.est.installAnalyze(h)
 }
 
-// Retire writes the model's final checkpoint to path and retires the
-// server: every later ANALYZE install fails with ErrRetired (see
-// Reoptimize). The model registry retires a model it evicts. On a
-// checkpoint error the server stays live. Estimates keep serving either
-// way (see Close).
-func (s *Server) Retire(path string) error {
+// Retire cuts the model's final checkpoint and retires the server: every
+// later ANALYZE install fails with ErrRetired (see Reoptimize). Like
+// CheckpointChanged it writes to path only when the model's frame differs
+// from the file newest, and reports whether it wrote; it retires the
+// server either way, because then newest already holds the final state.
+// The model registry retires a model it evicts. On a checkpoint error the
+// server stays live. Estimates keep serving either way (see Close).
+func (s *Server) Retire(path, newest string) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.est.Checkpoint(path); err != nil {
-		return err
+	wrote, err := s.est.checkpoint(path, newest)
+	if err != nil {
+		return false, err
 	}
 	s.retired = true
-	return nil
+	return wrote, nil
 }
 
 // Checkpoint atomically persists the model; see Estimator.Checkpoint.
 func (s *Server) Checkpoint(path string) error {
+	_, err := s.CheckpointChanged(path, "")
+	return err
+}
+
+// CheckpointChanged writes the model's checkpoint to path unless the file
+// newest already holds exactly the frame it would write, and reports
+// whether it wrote. An empty newest always writes. The compare runs under
+// the writer lock, so no mutation can slip between it and the write.
+func (s *Server) CheckpointChanged(path, newest string) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.est.Checkpoint(path)
+	return s.est.checkpoint(path, newest)
 }
 
 // ApplyMutations applies a batch of change-feed events under the writer

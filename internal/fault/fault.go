@@ -340,8 +340,11 @@ func FromEnv() (*Injector, error) {
 //
 // where point is one of transfer, launch, optimizer, gradient, checkpoint,
 // netdrop, net5xx, netdelay, shard. Bare integers are exact 1-based occurrence
-// indices; DUR is a time.ParseDuration string (e.g. 5ms). A clause whose
-// only term is delay= stalls every occurrence. Examples:
+// indices; N is positive, P is in (0, 1], and DUR is a positive
+// time.ParseDuration string (e.g. 5ms). A clause whose only term is delay=
+// stalls every occurrence. The parsed rules hold their indices in
+// ascending order, so Schedule.String round-trips to an equal schedule.
+// Examples:
 //
 //	transfer:3,5                 third and fifth transfers fail
 //	gradient:every=7,limit=3     every 7th gradient, at most 3 times
@@ -364,11 +367,13 @@ func ParseSchedule(spec string) (Schedule, error) {
 			return nil, fmt.Errorf("fault: unknown fault point %q", name)
 		}
 		r := s[p]
+		terms := 0
 		for _, term := range strings.Split(rest, ",") {
 			term = strings.TrimSpace(term)
 			if term == "" {
 				continue
 			}
+			terms++
 			switch {
 			case strings.HasPrefix(term, "every="):
 				n, err := strconv.Atoi(term[len("every="):])
@@ -378,7 +383,7 @@ func ParseSchedule(spec string) (Schedule, error) {
 				r.Every = n
 			case strings.HasPrefix(term, "prob="):
 				pv, err := strconv.ParseFloat(term[len("prob="):], 64)
-				if err != nil || pv < 0 || pv > 1 {
+				if err != nil || !(pv > 0 && pv <= 1) { // NaN fails both
 					return nil, fmt.Errorf("fault: bad term %q in %q", term, clause)
 				}
 				r.Prob = pv
@@ -402,6 +407,10 @@ func ParseSchedule(spec string) (Schedule, error) {
 				r.At = append(r.At, n)
 			}
 		}
+		if terms == 0 {
+			return nil, fmt.Errorf("fault: clause %q has no terms", clause)
+		}
+		sort.Ints(r.At)
 		s[p] = r
 	}
 	if len(s) == 0 {

@@ -131,6 +131,7 @@ func TestParseSchedule(t *testing.T) {
 	for _, bad := range []string{
 		"", "transfer", "bogus:1", "transfer:0", "transfer:every=0",
 		"transfer:prob=2", "transfer:limit=-1", "transfer:x",
+		"transfer:prob=0", "netdelay:delay=1ns,prob=NaN", "transfer:", "transfer:,;launch:1",
 	} {
 		if _, err := ParseSchedule(bad); err == nil {
 			t.Errorf("ParseSchedule(%q) succeeded, want error", bad)
@@ -284,4 +285,33 @@ func normalizeSchedule(s Schedule) Schedule {
 		out[p] = r
 	}
 	return out
+}
+
+// FuzzParseSchedule: every spec either fails to parse or round-trips
+// through Schedule.String to an equal schedule — never a rule that parses
+// but renders into a different one — and no spec panics.
+func FuzzParseSchedule(f *testing.F) {
+	for _, spec := range []string{
+		"transfer:3,5",
+		"gradient:every=7,limit=3",
+		"launch:prob=0.05;checkpoint:1",
+		"netdelay:every=4,delay=20ms,limit=2",
+		"transfer:5,3,1,every=2,prob=0.5,limit=9,delay=1.5ms",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		s, err := ParseSchedule(spec)
+		if err != nil {
+			return
+		}
+		rendered := s.String()
+		back, err := ParseSchedule(rendered)
+		if err != nil {
+			t.Fatalf("%q parses, but its rendering %q does not: %v", spec, rendered, err)
+		}
+		if !reflect.DeepEqual(back, s) {
+			t.Fatalf("%q renders as %q, which parses to %#v, want %#v", spec, rendered, back, s)
+		}
+	})
 }

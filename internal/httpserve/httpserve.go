@@ -790,12 +790,11 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	lagDeg := s.cfg.ingestLagDegraded()
 	for i, st := range sts {
 		m := readyzModel{
-			Model: st.Key.String(), Resident: st.Resident, Shards: st.Shards,
-			Ingesting: st.Ingesting, IngestLag: st.IngestLag,
+			Model: st.Key.String(), Resident: st.Resident, Queries: st.Queries,
+			Shards: st.Shards, Ingesting: st.Ingesting, IngestLag: st.IngestLag,
 		}
 		if st.Resident {
 			m.Health = st.Health.String()
-			m.Queries = st.Queries
 			if st.Health != core.Healthy {
 				status = "degraded"
 			}
@@ -833,10 +832,9 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	sts := s.reg.Status()
 	models := make([]readyzModel, len(sts))
 	for i, st := range sts {
-		models[i] = readyzModel{Model: st.Key.String(), Resident: st.Resident, Shards: st.Shards}
+		models[i] = readyzModel{Model: st.Key.String(), Resident: st.Resident, Queries: st.Queries, Shards: st.Shards}
 		if st.Resident {
 			models[i].Health = st.Health.String()
-			models[i].Queries = st.Queries
 		}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"models": models})

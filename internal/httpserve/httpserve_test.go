@@ -220,6 +220,62 @@ func TestProbesAndMetrics(t *testing.T) {
 	}
 }
 
+// TestModelsReportLifetimeQueries: GET /models and /readyz report every
+// estimate a model served since admission, across evictions and
+// restores, whether or not the model is resident now.
+func TestModelsReportLifetimeQueries(t *testing.T) {
+	reg := registry.New(registry.Config{MaxResident: 1, CheckpointDir: t.TempDir(), SweepEvery: -1})
+	t.Cleanup(reg.Close)
+	keys := []registry.Key{registry.NewKey("a", 0, 1), registry.NewKey("b", 0, 1)}
+	for i, k := range keys {
+		tab := buildTable(t, 300, 2, int64(20+i))
+		if err := reg.Admit(k, tab, core.Config{SampleSize: 64, Seed: int64(i)}, core.ServeConfig{MaxBatch: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := New(Config{Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = s.Close() })
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	want := map[string]int{}
+	for i := 0; i < 15; i++ {
+		k := keys[i%3%2] // a, b, a, a, b, a, ...: every switch evicts
+		body := fmt.Sprintf(`{"model":%q,"lo":[-2,-2],"hi":[8,8]}`, k.String())
+		if resp, b := postJSON(t, ts.URL+"/estimate", body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("estimate %v: %d %s", k, resp.StatusCode, b)
+		}
+		want[k.String()]++
+		if i%4 == 3 {
+			if err := reg.Evict(k); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, path := range []string{"/models", "/readyz"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got struct {
+			Models []readyzModel `json:"models"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&got)
+		resp.Body.Close()
+		if err != nil || len(got.Models) != len(keys) {
+			t.Fatalf("GET %s: %+v (%v)", path, got, err)
+		}
+		for _, m := range got.Models {
+			if m.Queries != want[m.Model] {
+				t.Fatalf("GET %s: %s reports %d queries, want %d", path, m.Model, m.Queries, want[m.Model])
+			}
+		}
+	}
+}
+
 // TestShedWhenSaturated fills every in-flight slot and the whole wait queue
 // white-box, then checks the next request is shed instantly with 429 and
 // both Retry-After headers, and that a queued request whose deadline expires

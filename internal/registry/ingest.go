@@ -58,6 +58,7 @@ func (r *Registry) AttachIngest(key Key, opts IngestOptions) error {
 	if err != nil {
 		return err
 	}
+	defer r.enforceResidency(key) // runs after the unlock: a restore may overfill
 	ent.mu.Lock()
 	defer ent.mu.Unlock()
 	if ent.bridge.Load() != nil {
@@ -207,6 +208,7 @@ func (r *Registry) ensureIngest(ent *entry) error {
 	if ent.bridge.Load() != nil {
 		return nil
 	}
+	defer r.enforceResidency(ent.key) // runs after the unlock: a restore may overfill
 	ent.mu.Lock()
 	defer ent.mu.Unlock()
 	if ent.bridge.Load() != nil {

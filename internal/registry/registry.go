@@ -18,10 +18,13 @@
 //     ("model.<key>.", see Key.MetricPrefix) so instruments never collide;
 //   - checkpoint rotation: periodic atomic checkpoints per model, keeping
 //     the last K (internal/checkpoint's temp+rename keeps each file atomic);
-//   - eviction and restore: LRU/idle eviction checkpoints the model, tears
-//     down its server and metric namespace, and drops the memory; the next
-//     Estimate for that key transparently restores from the newest
-//     checkpoint (bit-identical continuation, see internal/core/persist.go).
+//   - eviction and restore: LRU/idle eviction writes the model's
+//     checkpoint only when the model changed since its newest checkpoint
+//     file — a model that only served estimates is already on disk byte
+//     for byte — then tears down its server and metric namespace and drops
+//     the memory; the next Estimate for that key transparently restores
+//     from the newest checkpoint (bit-identical continuation, see
+//     internal/core/persist.go).
 //
 // Lock order: Registry.mu guards only the key→entry map and is never held
 // across model work. Each entry has a lifecycle mutex serializing
@@ -86,7 +89,9 @@ type Config struct {
 	// checkpoint, older files beyond the newest K are deleted (default 3).
 	KeepCheckpoints int
 	// CheckpointEvery periodically checkpoints every resident model
-	// (enforced by Sweep / the background janitor). 0 disables.
+	// (enforced by Sweep / the background janitor) that changed since its
+	// newest checkpoint file; an unchanged model writes nothing. 0
+	// disables.
 	CheckpointEvery time.Duration
 	// SweepEvery is the janitor cadence (default 250ms when any of
 	// IdleAfter/CheckpointEvery is set; otherwise no janitor runs).
@@ -103,7 +108,8 @@ type Config struct {
 	// Metrics is the shared process registry. Each model's instruments are
 	// registered under its Key.MetricPrefix; the registry's own instruments
 	// (registry.models_resident, registry.evictions, registry.restores,
-	// registry.admissions, registry.analyze_queue_depth) live unprefixed.
+	// registry.checkpoints_skipped, registry.admissions,
+	// registry.analyze_queue_depth) live unprefixed.
 	Metrics *metrics.Registry
 	// AnalyzeQueue is the capacity of the background ANALYZE queue
 	// (default 16).
@@ -139,7 +145,12 @@ type entry struct {
 	lastUsed atomic.Int64 // UnixNano of last estimate/feedback
 	lastCkpt atomic.Int64 // UnixNano of last checkpoint
 
-	// ckpts is the rotation ring, oldest first; guarded by mu.
+	// served counts the estimates of the key's retired servers: checkpoint
+	// frames do not carry the count, so it lives here across evictions.
+	served atomic.Int64
+
+	// ckpts is the rotation ring of written files, oldest first; guarded
+	// by mu.
 	ckpts   []string
 	ckptSeq int
 
@@ -180,6 +191,7 @@ type Registry struct {
 	admissions    *metrics.Counter
 	evictions     *metrics.Counter
 	restores      *metrics.Counter
+	skipped       *metrics.Counter
 	analyzes      *metrics.Counter
 	driftAnalyzes *metrics.Counter
 }
@@ -210,6 +222,7 @@ func New(cfg Config) *Registry {
 	r.admissions = r.met.Counter("registry.admissions")
 	r.evictions = r.met.Counter("registry.evictions")
 	r.restores = r.met.Counter("registry.restores")
+	r.skipped = r.met.Counter("registry.checkpoints_skipped")
 	r.analyzes = r.met.Counter("registry.analyzes")
 	r.driftAnalyzes = r.met.Counter("registry.drift_analyzes")
 	r.met.RegisterGaugeFunc("registry.models_resident", func() float64 {
@@ -549,7 +562,8 @@ func (r *Registry) analyzeWorker() {
 }
 
 // CheckpointNow atomically checkpoints key's model into its rotation ring,
-// pruning files beyond Config.KeepCheckpoints. Requires CheckpointDir.
+// pruning files beyond Config.KeepCheckpoints. It always writes, even when
+// the newest file already holds the model's state. Requires CheckpointDir.
 func (r *Registry) CheckpointNow(key Key) error {
 	ent, err := r.entryFor(key)
 	if err != nil {
@@ -561,38 +575,54 @@ func (r *Registry) CheckpointNow(key Key) error {
 	if s == nil {
 		return nil // evicted: its checkpoint is already the latest state
 	}
-	return r.checkpointLocked(ent, s.Checkpoint)
+	return r.checkpointLocked(ent, func(path, _ string) (bool, error) {
+		return s.CheckpointChanged(path, "")
+	})
 }
 
-// checkpointLocked writes one rotation checkpoint through write —
-// core.Server.Checkpoint, or core.Server.Retire for a model's final one;
-// caller holds ent.mu.
-func (r *Registry) checkpointLocked(ent *entry, write func(path string) error) error {
+// checkpointLocked cuts one rotation checkpoint through write —
+// core.Server.CheckpointChanged, or core.Server.Retire for a model's final
+// one; caller holds ent.mu. write gets the next file's path and the newest
+// file's, and writes nothing when the newest file already holds the
+// model's frame. Only a written file enters the ring; a pass that wrote
+// nothing counts in registry.checkpoints_skipped.
+func (r *Registry) checkpointLocked(ent *entry, write func(path, newest string) (bool, error)) error {
 	if r.cfg.CheckpointDir == "" {
 		return errors.New("registry: no CheckpointDir configured")
 	}
-	ent.ckptSeq++
+	newest := ""
+	if n := len(ent.ckpts); n > 0 {
+		newest = ent.ckpts[n-1]
+	}
 	path := filepath.Join(r.cfg.CheckpointDir,
-		fmt.Sprintf("%s-%06d.ckpt", ent.key.fileStem(), ent.ckptSeq))
-	if err := write(path); err != nil {
+		fmt.Sprintf("%s-%06d.ckpt", ent.key.fileStem(), ent.ckptSeq+1))
+	wrote, err := write(path, newest)
+	if err != nil {
 		return err
 	}
+	ent.lastCkpt.Store(time.Now().UnixNano())
+	if !wrote {
+		r.skipped.Inc()
+		return nil
+	}
+	ent.ckptSeq++
 	ent.ckpts = append(ent.ckpts, path)
 	for len(ent.ckpts) > r.cfg.keep() {
 		os.Remove(ent.ckpts[0])
 		ent.ckpts = ent.ckpts[1:]
 	}
-	ent.lastCkpt.Store(time.Now().UnixNano())
 	return nil
 }
 
-// Evict checkpoints key's model, tears down its server and its metric
-// namespace, and releases the memory. The next Estimate (or Feedback)
-// for the key transparently restores from that checkpoint. Estimates
-// holding the old serving handle finish normally — a closed server still
-// serves from its snapshot (core.Server.Close) — and writers racing the
-// checkpoint drain under the model's writer lock before the file is cut.
-// Evicting a non-resident model is a no-op.
+// Evict cuts key's final checkpoint, tears down its server and its metric
+// namespace, and releases the memory. The checkpoint is written only when
+// the model changed since its newest checkpoint file; otherwise that file
+// already holds it. The next Estimate (or Feedback) for the key
+// transparently restores from that checkpoint. Estimates holding the old
+// serving handle finish normally — a closed server still serves from its
+// snapshot (core.Server.Close) — and writers racing the checkpoint drain
+// under the model's writer lock before the file is cut. Evicting a
+// non-resident model is a no-op.
 func (r *Registry) Evict(key Key) error {
 	ent, err := r.entryFor(key)
 	if err != nil {
@@ -619,17 +649,24 @@ func (r *Registry) evict(ent *entry) error {
 	if err := r.checkpointLocked(ent, s.Retire); err != nil {
 		return fmt.Errorf("registry: evict %v: %w", ent.key, err)
 	}
+	r.teardownLocked(ent, s)
+	r.evictions.Inc()
+	return nil
+}
+
+// teardownLocked detaches ent's retired server s and banks its served
+// count; caller holds ent.mu.
+func (r *Registry) teardownLocked(ent *entry, s *core.Server) {
 	ent.srv.Store(nil)
 	s.DetachFeed() // stop change-feed callbacks into the torn-down server
 	s.Close()
+	ent.served.Add(int64(s.Queries()))
 	// Tear down the model's whole metric namespace: core.health,
 	// core.snapshot_age_seconds, bandwidth drift, the serve gauges — every
 	// gauge func the model's layers registered under its prefix. Counters
 	// and histograms stay (monotonic history survives eviction); a restore
 	// re-registers the gauge funcs against the new instances.
 	r.met.UnregisterGaugeFuncsPrefix(ent.key.MetricPrefix())
-	r.evictions.Inc()
-	return nil
 }
 
 // enforceResidency evicts least-recently-used models until the resident
@@ -664,7 +701,8 @@ func (r *Registry) enforceResidency(keep Key) {
 }
 
 // Sweep runs one janitor pass: idle models are evicted and stale resident
-// models are checkpointed, per Config.IdleAfter and Config.CheckpointEvery.
+// models that changed since their newest checkpoint are checkpointed, per
+// Config.IdleAfter and Config.CheckpointEvery.
 // The background janitor calls this periodically; tests call it directly
 // for deterministic lifecycle transitions.
 func (r *Registry) Sweep() {
@@ -686,7 +724,7 @@ func (r *Registry) Sweep() {
 		if r.cfg.CheckpointEvery > 0 && now-ent.lastCkpt.Load() > int64(r.cfg.CheckpointEvery) {
 			ent.mu.Lock()
 			if s := ent.srv.Load(); s != nil {
-				_ = r.checkpointLocked(ent, s.Checkpoint)
+				_ = r.checkpointLocked(ent, s.CheckpointChanged)
 			}
 			ent.mu.Unlock()
 		}
@@ -724,13 +762,14 @@ type ModelStatus struct {
 	// Key identifies the model.
 	Key Key
 	// Resident reports whether the model is in memory; a non-resident model
-	// still serves (restore-on-demand) but its Health/Queries are unknown
-	// without paying the restore, so they are zero.
+	// still serves (restore-on-demand) but its Health is unknown without
+	// paying the restore, so it is zero.
 	Resident bool
 	// Health is the degradation-ladder state (core.Healthy/Degraded/
 	// Fallback) of a resident model.
 	Health core.Health
-	// Queries is the number of estimates a resident model has served.
+	// Queries is the number of estimates the model has served since it
+	// was admitted, across evictions and restores.
 	Queries int
 	// Shards is K of a resident sharded model (0 for one shard).
 	Shards int
@@ -755,11 +794,13 @@ func (r *Registry) Status() []ModelStatus {
 	r.mu.Unlock()
 	out := make([]ModelStatus, 0, len(entries))
 	for _, ent := range entries {
-		st := ModelStatus{Key: ent.key}
+		// Read the banked count first: an eviction banks a server's count
+		// only after detaching it, so this order never counts one twice.
+		st := ModelStatus{Key: ent.key, Queries: int(ent.served.Load())}
 		if s := ent.srv.Load(); s != nil {
 			st.Resident = true
 			st.Health = s.Health()
-			st.Queries = s.Queries()
+			st.Queries += s.Queries()
 			if k := s.Shards(); k > 1 {
 				st.Shards = k
 			}
@@ -808,9 +849,9 @@ func (r *Registry) Table(key Key) *table.Table {
 }
 
 // Close stops the background workers, checkpoints every resident model
-// (when a CheckpointDir is configured), closes their servers, and
-// unregisters every instrument namespace the registry created. Operations
-// after Close return ErrClosed.
+// that changed since its newest checkpoint (when a CheckpointDir is
+// configured), closes their servers, and unregisters every instrument
+// namespace the registry created. Operations after Close return ErrClosed.
 func (r *Registry) Close() {
 	r.mu.Lock()
 	if r.closed {
@@ -836,10 +877,7 @@ func (r *Registry) Close() {
 			if r.cfg.CheckpointDir != "" {
 				_ = r.checkpointLocked(ent, s.Retire)
 			}
-			ent.srv.Store(nil)
-			s.DetachFeed()
-			s.Close()
-			r.met.UnregisterGaugeFuncsPrefix(ent.key.MetricPrefix())
+			r.teardownLocked(ent, s)
 		}
 		ent.mu.Unlock()
 	}

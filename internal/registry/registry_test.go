@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -94,6 +95,27 @@ func TestKeyStringParseRoundTrip(t *testing.T) {
 	if NewKey("t", 0, 1).String() == NewKey("t", 1, 0).String() {
 		t.Error("column order lost in canonical form")
 	}
+}
+
+// FuzzParseKey: no input panics ParseKey, and every key it accepts
+// survives the canonical round trip: ParseKey(k.String()) == k.
+func FuzzParseKey(f *testing.F) {
+	for _, s := range []string{"orders(0,2)", "t(0)", "a_b.c-d(7,7)", "t( 1, +2)", "a)(1)", "t()", "t(-1)", "(0)"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		k, err := ParseKey(s)
+		if err != nil {
+			return
+		}
+		back, err := ParseKey(k.String())
+		if err != nil {
+			t.Fatalf("ParseKey(%q) = %v, but ParseKey(%q): %v", s, k, k.String(), err)
+		}
+		if !reflect.DeepEqual(back, k) {
+			t.Fatalf("ParseKey(%q) = %#v, but its canonical form %q parses to %#v", s, k, k.String(), back)
+		}
+	})
 }
 
 func TestProject(t *testing.T) {
