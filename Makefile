@@ -54,9 +54,9 @@ GATES = \
 
 GATE_NAMES = mathx-accuracy precision-accuracy network-resilience shard-determinism ingest-lag lifecycle
 
-.PHONY: verify fmtcheck build test race race-resilience gates $(GATE_NAMES) chaos vet bench
+.PHONY: verify fmtcheck build test race race-resilience gates $(GATE_NAMES) chaos vet bench bench-module
 
-verify: fmtcheck vet build race-resilience gates race
+verify: fmtcheck vet build bench-module race-resilience gates race
 
 # Fail when any file needs gofmt; list the offenders.
 fmtcheck:
@@ -68,6 +68,13 @@ vet:
 
 build:
 	$(GO) build ./...
+
+# bench/ is its own Go module, so the root ./... builds skip it: vet and
+# test it here, so that removing an API the benchmark calls fails verify
+# rather than the benchmark run. Its smoke test removes the .bench_build/
+# it creates.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 test:
 	$(GO) test ./...

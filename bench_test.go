@@ -8,10 +8,7 @@ package kdesel_test
 import (
 	"fmt"
 	"math/rand"
-	"sort"
-	"sync"
 	"testing"
-	"time"
 
 	"kdesel/internal/core"
 	"kdesel/internal/datagen"
@@ -323,138 +320,6 @@ func BenchmarkSelectivityBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkServeThroughput measures end-to-end serving throughput with
-// closed-loop concurrent clients (each issues its next query the moment the
-// previous answer returns) against the coalescing server at default
-// settings. The reported qps must grow monotonically from 1 to 16 clients:
-// more concurrency means fuller batches, and a batch amortizes one fused
-// sample traversal over all its members.
-func BenchmarkServeThroughput(b *testing.B) {
-	rng := rand.New(rand.NewSource(29))
-	const d, s = 8, 4096
-	ds := datagen.Synthetic(rng, s+1000, d, 10, 0.1)
-	tab, _ := table.New(d)
-	if err := tab.InsertMany(ds.Rows); err != nil {
-		b.Fatal(err)
-	}
-	for _, clients := range []int{1, 4, 16, 64} {
-		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
-			est, err := core.Build(tab, core.Config{Mode: core.Heuristic, SampleSize: s, Seed: 3})
-			if err != nil {
-				b.Fatal(err)
-			}
-			srv := core.NewServer(est, core.ServeConfig{})
-			defer srv.Close()
-			const perClient = 16
-			streams := make([][]query.Range, clients)
-			for c := range streams {
-				qrng := rand.New(rand.NewSource(int64(100 + c)))
-				qs := make([]query.Range, perClient)
-				for i := range qs {
-					lo := make([]float64, d)
-					hi := make([]float64, d)
-					for j := 0; j < d; j++ {
-						cen, w := qrng.NormFloat64(), 0.2+qrng.Float64()
-						lo[j], hi[j] = cen-w, cen+w
-					}
-					qs[i] = query.Range{Lo: lo, Hi: hi}
-				}
-				streams[c] = qs
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var wg sync.WaitGroup
-				for c := 0; c < clients; c++ {
-					qs := streams[c]
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						for _, q := range qs {
-							if _, err := srv.Estimate(q); err != nil {
-								b.Error(err)
-								return
-							}
-						}
-					}()
-				}
-				wg.Wait()
-			}
-			b.StopTimer()
-			total := float64(b.N) * float64(clients) * perClient
-			if sec := b.Elapsed().Seconds(); sec > 0 {
-				b.ReportMetric(total/sec, "qps")
-			}
-		})
-	}
-}
-
-// BenchmarkNetworkResilience drives the HTTP frontend over a real loopback
-// listener at 6× overload, fault-free and then under the chaos schedule
-// (injected latency, 5xx, and connection drops). The acceptance criteria:
-// shed-p50/accepted-p50 < 0.10 (rejections are the fast path), chaos
-// accepted p99 ≤ 2× the no-fault baseline p99 (bounded tail), and
-// accounting-exact == 1 (accepted + shed + failed == issued, with client-
-// and server-side counters agreeing exactly).
-func BenchmarkNetworkResilience(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Network(experiments.NetworkConfig{
-			Seed: int64(71 + i),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Baseline.AcceptedP99.Seconds()*1e3, "baseline-p99-ms")
-		b.ReportMetric(res.Chaos.AcceptedP99.Seconds()*1e3, "chaos-p99-ms")
-		b.ReportMetric(res.P99Ratio, "p99-ratio")
-		b.ReportMetric(res.Chaos.ShedP50.Seconds()*1e6, "shed-p50-us")
-		b.ReportMetric(res.ShedRatio, "shed-p50-ratio")
-		exact := 0.0
-		if res.AccountingExact {
-			exact = 1.0
-		}
-		b.ReportMetric(exact, "accounting-exact")
-		b.ReportMetric(float64(res.Chaos.Drops+res.Chaos.Errors5xx+res.Chaos.Delays), "faults-injected")
-	}
-}
-
-// BenchmarkRegistryMixedTraffic drives the multi-model registry the way one
-// process serves a whole schema: eight single-table models plus one join
-// model behind one registry, skewed closed-loop traffic, and a mid-run
-// ANALYZE plus eviction on two of the models. "other-p99-ratio" is the
-// isolation figure — the worst during-ANALYZE / quiescent p99 over models
-// that were not the lifecycle targets (≤ 2 expected); "qps" aggregates all
-// models' served estimates over the measured window.
-func BenchmarkRegistryMixedTraffic(b *testing.B) {
-	totalServed := 0
-	var last *experiments.RegistryLoadResult
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RegistryLoad(experiments.RegistryLoadConfig{
-			Models:     8,
-			JoinModel:  true,
-			Rows:       1500,
-			SampleSize: 192,
-			Clients:    6,
-			Duration:   400 * time.Millisecond,
-			Feedback:   96,
-			MaxBatch:   4,
-			Seed:       int64(61 + i),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, st := range res.Stats {
-			totalServed += st.Served
-		}
-		last = res
-	}
-	if sec := b.Elapsed().Seconds(); sec > 0 {
-		b.ReportMetric(float64(totalServed)/sec, "qps")
-	}
-	b.ReportMetric(last.MaxOtherRatio, "other-p99-ratio")
-	b.ReportMetric(float64(last.Evictions), "evictions")
-	b.ReportMetric(float64(last.Restores), "restores")
-}
-
 // BenchmarkKDEGradient measures one estimate-plus-gradient pass (eq. 17),
 // the adaptive estimator's per-query extra work.
 func BenchmarkKDEGradient(b *testing.B) {
@@ -660,61 +525,4 @@ func BenchmarkBuildAdaptive(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkIngestServing runs the continuous-ingestion experiment (see
-// internal/experiments/ingest.go): an unsharded adaptive model serves
-// closed-loop estimate traffic while the change feed replays an evolving
-// mutation stream through the bounded-lag bridge. Rounds pair each churn
-// leg's estimate p99 against the adjacent quiescent leg's (same
-// median-of-paired-ratios design as BenchmarkShardedEstimate, for the
-// same 1-vCPU steal reasons); during-p99-ratio <= 2 is the acceptance
-// bar. Exactly-once delivery is asserted inside each iteration (cursor ==
-// produced == applied after the ring drains), and the untimed drift
-// phase after the timed rounds must schedule at least one background
-// ANALYZE from the detector.
-func BenchmarkIngestServing(b *testing.B) {
-	totalServed := 0
-	duringN := 0
-	var applied, saved, analyzes int64
-	var ratios []float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.IngestLoad(experiments.IngestLoadConfig{
-			Rows:       2000,
-			SampleSize: 512,
-			Clients:    2,
-			Duration:   300 * time.Millisecond,
-			Rounds:     3,
-			Rate:       3000,
-			Seed:       int64(71 + i),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Cursor != uint64(res.Produced) || res.Applied != int64(res.Produced) {
-			b.Fatalf("exactly-once violated: produced %d, applied %d, cursor %d",
-				res.Produced, res.Applied, res.Cursor)
-		}
-		if res.DriftAnalyzes == 0 {
-			b.Fatalf("drift detector never scheduled an ANALYZE (%d triggers)",
-				res.DriftTriggers)
-		}
-		totalServed += res.Served
-		duringN += res.DuringN
-		applied += res.Applied
-		saved += res.RepublishSaved
-		analyzes += res.DriftAnalyzes
-		ratios = append(ratios, res.RoundRatios...)
-	}
-	if sec := b.Elapsed().Seconds(); sec > 0 {
-		b.ReportMetric(float64(totalServed)/sec, "qps")
-		b.ReportMetric(float64(applied)/sec, "mut/s")
-	}
-	if len(ratios) > 0 {
-		sort.Float64s(ratios)
-		b.ReportMetric(ratios[len(ratios)/2], "during-p99-ratio")
-	}
-	b.ReportMetric(float64(duringN), "during-samples")
-	b.ReportMetric(float64(saved), "republish-saved")
-	b.ReportMetric(float64(analyzes), "drift-analyzes")
 }

@@ -1,9 +1,12 @@
 // Command kdebench regenerates the paper's tables and figures (see
-// DESIGN.md for the experiment index) and runs the design-choice ablations.
+// DESIGN.md for the experiment index), the workload-shift extension, and
+// the design-choice ablations. It measures model quality and estimator
+// cost, not serving load: the serving stack's benchmark is bench/ (bash
+// bench/run.sh --workload <w>), which drives it over loopback HTTP.
 //
 // Usage:
 //
-//	kdebench -exp fig4|fig5|table1|fig6|fig7|fig8|ablations|all [flags]
+//	kdebench -exp fig4|fig5|table1|fig6|fig7|fig8|shift|ablations|all [flags]
 //
 // Results print as the rows/series the paper reports. The -quick flag
 // shrinks dataset sizes and repetition counts for a fast smoke run; the
@@ -38,7 +41,7 @@ import (
 
 func main() {
 	var (
-		exp   = flag.String("exp", "all", "experiment: fig4, fig5, table1, fig6, fig7, fig8, shift, serve, registry, network, ingest, ablations, all")
+		exp   = flag.String("exp", "all", "experiment: fig4, fig5, table1, fig6, fig7, fig8, shift, ablations, all")
 		seed  = flag.Int64("seed", 42, "random seed")
 		quick = flag.Bool("quick", false, "shrink sizes for a fast smoke run")
 		rows  = flag.Int("rows", 0, "override dataset rows (0 = experiment default)")
@@ -52,24 +55,13 @@ func main() {
 		memProfile = flag.String("memprofile", "", "write a heap profile (pprof) to this file on exit")
 		ckptDir    = flag.String("checkpoint-dir", "", "periodically checkpoint KDE estimator state into this directory (atomic, CRC-framed; see -checkpoint-every)")
 		ckptEvery  = flag.Int("checkpoint-every", 50, "checkpoint period in training feedbacks (used with -checkpoint-dir)")
-		serveBatch = flag.Int("serve-batch", 0, "serve experiment: max queries coalesced per evaluation (0 = default 64; 1 disables coalescing)")
-		serveWait  = flag.Duration("serve-wait", 0, "serve experiment: batch fill deadline (0 = default 100µs; negative = no wait)")
-		profServe  = flag.Bool("profile-serve", false, "label the serve scheduler goroutine in CPU profiles (pprof label kdesel_serve=batcher; combine with -cpuprofile)")
-		regModels  = flag.Int("registry-models", 0, "registry experiment: single-table model count (0 = default 8)")
-		shards     = flag.Int("shards", 0, "ingest experiment: model shard count K (0 or 1 = one shard)")
 		erfMode    = flag.String("erf", "exact", "erf implementation for Gaussian kernels: exact (math.Erf) | fast (polynomial, |err| ≤ 1e-7)")
-		precFlag   = flag.String("precision", "float64", "serve experiment: serving precision tier, float64 | float32 | quantized (reduced tiers fall back to float64 if over their error contract)")
 	)
 	flag.Parse()
 	if m, ok := mathx.ParseMode(*erfMode); ok {
 		mathx.SetMode(m)
 	} else {
 		fmt.Fprintf(os.Stderr, "kdebench: bad -erf %q (want exact or fast)\n", *erfMode)
-		os.Exit(2)
-	}
-	prec, ok := mathx.ParsePrecision(*precFlag)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "kdebench: bad -precision %q (want float64, float32, or quantized)\n", *precFlag)
 		os.Exit(2)
 	}
 	ckpts := experiments.CheckpointConfig{Dir: *ckptDir, Every: *ckptEvery}
@@ -299,82 +291,6 @@ func main() {
 		res.WriteTable(os.Stdout)
 		return nil
 	}
-	runServe := func() error {
-		cfg := experiments.ThroughputConfig{
-			Seed:         *seed,
-			MaxBatch:     *serveBatch,
-			MaxWait:      *serveWait,
-			Metrics:      reg,
-			ProfileLabel: *profServe,
-			Precision:    prec,
-		}
-		if *quick {
-			cfg.SampleSize = 1024
-			cfg.QueriesPerClient = 60
-		}
-		res, err := experiments.Throughput(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("serving: precision=%s (requested %s), erf=%s\n",
-			res.ActivePrecision, prec, mathx.CurrentMode())
-		res.WriteTable(os.Stdout)
-		return nil
-	}
-	runRegistry := func() error {
-		cfg := experiments.RegistryLoadConfig{
-			Seed:      *seed,
-			Models:    *regModels,
-			JoinModel: true,
-			MaxBatch:  *serveBatch,
-			MaxWait:   *serveWait,
-			Metrics:   reg,
-		}
-		if *quick {
-			cfg.Rows = 1500
-			cfg.SampleSize = 192
-			cfg.Duration = 400 * time.Millisecond
-			cfg.Feedback = 96
-		}
-		res, err := experiments.RegistryLoad(cfg)
-		if err != nil {
-			return err
-		}
-		res.WriteTable(os.Stdout)
-		return nil
-	}
-	runIngest := func() error {
-		cfg := experiments.IngestLoadConfig{
-			Seed:    *seed,
-			Shards:  *shards,
-			Metrics: reg,
-		}
-		if *quick {
-			cfg.Rows = 1500
-			cfg.SampleSize = 256
-			cfg.Duration = 250 * time.Millisecond
-			cfg.Rate = 3000
-		}
-		res, err := experiments.IngestLoad(cfg)
-		if err != nil {
-			return err
-		}
-		res.WriteTable(os.Stdout)
-		return nil
-	}
-	runNetwork := func() error {
-		cfg := experiments.NetworkConfig{Seed: *seed, Metrics: reg}
-		if *quick {
-			cfg.SampleSize = 512
-			cfg.QueriesPerClient = 40
-		}
-		res, err := experiments.Network(cfg)
-		if err != nil {
-			return err
-		}
-		res.WriteTable(os.Stdout)
-		return nil
-	}
 	runAblations := func() error {
 		cfg := experiments.AblationConfig{Seed: *seed, Metrics: reg, Checkpoints: ckpts}
 		if *quick {
@@ -419,14 +335,6 @@ func main() {
 		run("figure 8 (changing data)", runFig8)
 	case "shift":
 		run("workload shift (extension)", runShift)
-	case "serve":
-		run("serving throughput (coalescing)", runServe)
-	case "registry":
-		run("multi-model registry (mixed traffic)", runRegistry)
-	case "network":
-		run("network resilience (chaos under overload)", runNetwork)
-	case "ingest":
-		run("continuous ingestion (bounded-lag serving)", runIngest)
 	case "ablations":
 		run("ablations", runAblations)
 	case "all":
@@ -437,10 +345,6 @@ func main() {
 		run("figure 7 (runtime)", runFig7)
 		run("figure 8 (changing data)", runFig8)
 		run("workload shift (extension)", runShift)
-		run("serving throughput (coalescing)", runServe)
-		run("multi-model registry (mixed traffic)", runRegistry)
-		run("network resilience (chaos under overload)", runNetwork)
-		run("continuous ingestion (bounded-lag serving)", runIngest)
 		run("ablations", runAblations)
 	default:
 		fmt.Fprintf(os.Stderr, "kdebench: unknown experiment %q\n", *exp)

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 
+	"kdesel/internal/bandwidth"
 	"kdesel/internal/checkpoint"
 	"kdesel/internal/gpu"
 	"kdesel/internal/learner"
@@ -39,6 +41,22 @@ type chkState struct {
 	// next ANALYZE.
 	Shards   int
 	Analyzes int
+	// Optimizer is what ANALYZE runs with (Config.BatchOptions). Frames
+	// written before it existed decode it as zero: the default options.
+	Optimizer optimizerState
+}
+
+// optimizerState is the part of bandwidth.OptimalConfig that changes
+// which bandwidth an ANALYZE selects. The kernel, loss and random stream
+// are rebuilt from the estimator; workers and metrics do not change the
+// result.
+type optimizerState struct {
+	SkipGlobal            bool
+	GlobalSamples         int
+	SearchFactor          float64
+	LinearSpace           bool
+	MaxIterations         int
+	GlobalLocalIterations int
 }
 
 // maxRestoreDraws bounds the recorded RNG stream position a restore
@@ -76,6 +94,19 @@ func (e *Estimator) checkpoint(path, newest string) (bool, error) {
 		IngestSeq: e.ingestSeq,
 		Shards:    e.cfg.shards(),
 		Analyzes:  e.analyzes,
+	}
+	// The optimizer reads a count ≤ 0, or a search factor ≤ 1, as its
+	// default; the frame stores those as 0, which restore accepts.
+	o := e.cfg.BatchOptions
+	st.Optimizer = optimizerState{
+		SkipGlobal:            o.SkipGlobal,
+		GlobalSamples:         max(o.GlobalSamples, 0),
+		LinearSpace:           o.LinearSpace,
+		MaxIterations:         max(o.MaxIterations, 0),
+		GlobalLocalIterations: max(o.GlobalLocalIterations, 0),
+	}
+	if o.SearchFactor > 1 {
+		st.Optimizer.SearchFactor = o.SearchFactor
 	}
 	if e.learn != nil {
 		ls := e.learn.State()
@@ -135,6 +166,10 @@ func restoreFrame(b []byte, tab *table.Table, dev *gpu.Device) (*Estimator, erro
 		return nil, errors.New("core: checkpoint has negative counters")
 	case st.Health < int(Healthy) || st.Health > int(Fallback):
 		return nil, fmt.Errorf("core: checkpoint health %d out of range", st.Health)
+	case st.Optimizer.GlobalSamples < 0 || st.Optimizer.MaxIterations < 0 || st.Optimizer.GlobalLocalIterations < 0:
+		return nil, errors.New("core: checkpoint has negative optimizer options")
+	case !(st.Optimizer.SearchFactor >= 0) || math.IsInf(st.Optimizer.SearchFactor, 1):
+		return nil, fmt.Errorf("core: checkpoint optimizer search factor %v is not finite and ≥ 0", st.Optimizer.SearchFactor)
 	}
 	e, err := restoreFromSnapshot(st.Snap, tab, dev)
 	if err != nil {
@@ -163,6 +198,11 @@ func restoreFrame(b []byte, tab *table.Table, dev *gpu.Device) (*Estimator, erro
 	e.gradTrips = st.GradTrips
 	e.ingestSeq = st.IngestSeq
 	e.cfg.Shards = st.Shards
+	o := st.Optimizer
+	e.cfg.BatchOptions = bandwidth.OptimalConfig{
+		SkipGlobal: o.SkipGlobal, GlobalSamples: o.GlobalSamples, SearchFactor: o.SearchFactor,
+		LinearSpace: o.LinearSpace, MaxIterations: o.MaxIterations, GlobalLocalIterations: o.GlobalLocalIterations,
+	}
 	e.analyzes = st.Analyzes
 	// Reapply the checkpointed serving precision (v1 frames carry meta 0 =
 	// Float64). The tier is rebuilt from the restored sample and passes

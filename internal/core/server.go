@@ -114,9 +114,6 @@ type ServeConfig struct {
 	// distinct prefixes or their queue-depth gauges collide; the model
 	// registry derives one per model key automatically.
 	MetricPrefix string
-	// ProfileLabel tags the scheduler goroutine with pprof label
-	// kdesel_serve=batcher for CPU-profile attribution.
-	ProfileLabel bool
 	// SerializeEstimates disables snapshot-isolated serving: every Estimate
 	// takes the writer mutex, so estimates and writer-locked operations
 	// (Feedback, ingest applies, Checkpoint, ANALYZE's copy and install
@@ -198,7 +195,6 @@ func NewServer(est *Estimator, cfg ServeConfig) *Server {
 		Queue:        cfg.Queue,
 		Metrics:      cfg.Metrics,
 		MetricPrefix: cfg.MetricPrefix,
-		ProfileLabel: cfg.ProfileLabel,
 	}))
 	// Take over the estimator's change-feed subscription: the estimator's
 	// own listener path is single-writer by design, and once a Server exists

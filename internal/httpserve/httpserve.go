@@ -668,6 +668,20 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	// Check the delete region before applying anything, so a bad region
+	// neither lands the rows nor reads as a server fault.
+	del := query.NewRange(req.DeleteLo, req.DeleteHi)
+	if wantDelete {
+		err := del.Validate()
+		if err == nil && del.Dims() != tab.Dims() {
+			err = fmt.Errorf("region has %d dimensions, model has %d", del.Dims(), tab.Dims())
+		}
+		if err != nil {
+			s.met.failed.Inc()
+			s.writeErr(w, http.StatusBadRequest, "invalid_query", "bad delete region: "+err.Error())
+			return
+		}
+	}
 	resp := ingestResponse{Model: key.String()}
 	if len(req.Rows) > 0 {
 		if err := s.reg.IngestRows(key, req.Rows); err != nil {
@@ -677,13 +691,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		resp.Inserted = len(req.Rows)
 	}
 	if wantDelete {
-		n, err := s.reg.IngestDeleteWhere(key, query.NewRange(req.DeleteLo, req.DeleteHi))
+		n, err := s.reg.IngestDeleteWhere(key, del)
 		if err != nil {
-			if errors.Is(err, core.ErrInvalidQuery) || len(req.DeleteLo) != tab.Dims() || len(req.DeleteHi) != tab.Dims() {
-				s.met.failed.Inc()
-				s.writeErr(w, http.StatusBadRequest, "invalid_query", "bad delete region: "+err.Error())
-				return
-			}
 			s.writeModelErr(w, err)
 			return
 		}

@@ -23,7 +23,7 @@ import (
 )
 
 // buildTable makes a d-dimensional clustered table with n rows.
-func buildTable(t *testing.T, n, d int, seed int64) *table.Table {
+func buildTable(t testing.TB, n, d int, seed int64) *table.Table {
 	t.Helper()
 	tab, err := table.New(d)
 	if err != nil {
@@ -448,6 +448,10 @@ func TestNetworkChaosAccountingExact(t *testing.T) {
 	}
 	if got := snap.Counters["http.injected_drops"]; got != int64(inj.Fired(fault.NetDrop)) {
 		t.Errorf("injected_drops = %d, injector fired %d", got, inj.Fired(fault.NetDrop))
+	}
+	// Overload alone sheds; only an injected drop or 5xx fails a request.
+	if want := int64(inj.Fired(fault.NetDrop) + inj.Fired(fault.NetError)); failed.Load() != want {
+		t.Errorf("failed = %d, want the %d injected drops and 5xx", failed.Load(), want)
 	}
 	// Model-side accounting: the estimator must have evaluated exactly the
 	// accepted requests.

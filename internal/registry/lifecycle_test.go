@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"kdesel/internal/bandwidth"
 	"kdesel/internal/core"
 	"kdesel/internal/fault"
 	"kdesel/internal/metrics"
@@ -363,7 +364,10 @@ func runLockstep(t *testing.T, seed int64, nOps int) {
 		return k
 	}
 	keys := []*lockKey{
-		mk("adaptive", seed*10, core.Config{Mode: core.Adaptive, SampleSize: 64, Seed: seed}),
+		// Non-default optimizer options: an ANALYZE after a restore must
+		// still run with them, so the checkpoint frame has to carry them.
+		mk("adaptive", seed*10, core.Config{Mode: core.Adaptive, SampleSize: 64, Seed: seed,
+			BatchOptions: bandwidth.OptimalConfig{SkipGlobal: true, MaxIterations: 5}}),
 		mk("heuristic", seed*10+1, core.Config{Mode: core.Heuristic, SampleSize: 64, Seed: seed + 100}),
 	}
 	ad := keys[0]

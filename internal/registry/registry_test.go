@@ -272,7 +272,7 @@ func TestLRUAndIdleEviction(t *testing.T) {
 // TestPerModelMetricNamespace: two models on one shared registry get
 // disjoint metric namespaces; evicting one tears down exactly its gauge
 // funcs and leaves the other's (the multi-model generalization of the
-// serve.queue_depth collision bug).
+// serve.queue_depth collision bug), and restoring it registers them again.
 func TestPerModelMetricNamespace(t *testing.T) {
 	met := metrics.New()
 	tab := buildTable(t, 300, 2, 21)
@@ -328,6 +328,16 @@ func TestPerModelMetricNamespace(t *testing.T) {
 	}
 	if got := snap.Gauges["registry.models_resident"]; got != 1 {
 		t.Errorf("models_resident after eviction = %v, want 1", got)
+	}
+
+	if _, err := r.Estimate(a, dataQuery(tab, rand.New(rand.NewSource(2)))); err != nil {
+		t.Fatal(err)
+	}
+	snap = met.Snapshot()
+	for _, g := range []string{"core.health", "serve.queue_depth"} {
+		if _, ok := snap.Gauges[a.MetricPrefix()+g]; !ok {
+			t.Errorf("restored model's gauge func %s%s missing", a.MetricPrefix(), g)
+		}
 	}
 }
 
@@ -506,8 +516,9 @@ func TestJoinModelRoutesLikeBaseModels(t *testing.T) {
 // TestConcurrentLifecycle races estimates and feedback across many models
 // against evictions, restores, scheduled ANALYZEs, and sweeps. Run with
 // -race (the Makefile race-resilience target includes this package). The
-// assertions are liveness and the [0,1] output contract; lost feedback
-// racing an eviction is documented and tolerated.
+// assertions are liveness, the [0,1] output contract, and that evictions
+// and restores did happen under the traffic; lost feedback racing an
+// eviction is documented and tolerated.
 func TestConcurrentLifecycle(t *testing.T) {
 	met := metrics.New()
 	r := New(Config{
@@ -599,6 +610,9 @@ func TestConcurrentLifecycle(t *testing.T) {
 	snap := met.Snapshot()
 	if snap.Gauges["registry.models_admitted"] != nModels {
 		t.Errorf("models_admitted = %v, want %d", snap.Gauges["registry.models_admitted"], nModels)
+	}
+	if ev, rs := snap.Counters["registry.evictions"], snap.Counters["registry.restores"]; ev == 0 || rs == 0 {
+		t.Errorf("evictions = %d, restores = %d under traffic, want both > 0", ev, rs)
 	}
 }
 

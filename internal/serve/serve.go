@@ -23,7 +23,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"runtime/pprof"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -78,10 +77,6 @@ type Config struct {
 	// the same prefixed name, so a closed batcher neither reports a stale
 	// depth nor stays pinned in memory by the leaked closure.
 	MetricPrefix string
-	// ProfileLabel, when true, tags the scheduler goroutine with the pprof
-	// label kdesel_serve=batcher so CPU profiles separate coalescing
-	// overhead from kernel time (kdebench -profile-serve).
-	ProfileLabel bool
 }
 
 func (c Config) maxBatch() int {
@@ -187,13 +182,7 @@ func New(eval EvalFunc, cfg Config) *Batcher {
 		r.RegisterGaugeFunc(b.gaugeName, func() float64 { return float64(len(b.reqs)) })
 	}
 	b.stopped.Add(1)
-	if cfg.ProfileLabel {
-		go pprof.Do(context.Background(), pprof.Labels("kdesel_serve", "batcher"), func(context.Context) {
-			b.run()
-		})
-	} else {
-		go b.run()
-	}
+	go b.run()
 	return b
 }
 
@@ -325,8 +314,10 @@ func (b *Batcher) run() {
 		case r := <-b.reqs:
 			batch = append(batch, r)
 		case <-b.done:
-			// Intake is closed; drain stragglers that won the enqueue race.
-			for {
+			// Intake is closed; drain stragglers that won the enqueue race,
+			// at most MaxBatch at a time: qs and ests hold no more, and the
+			// loop comes back for the rest.
+			for len(batch) < b.maxBatch {
 				select {
 				case r := <-b.reqs:
 					batch = append(batch, r)

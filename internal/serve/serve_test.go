@@ -203,6 +203,38 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 	b.Close() // repeated Close must be safe
 }
 
+// TestCloseDrainsInBatchesOfMaxBatch: requests still queued when the
+// scheduler sees Close are served in batches of at most MaxBatch. The
+// drain used to take the whole queue (up to 4·MaxBatch) as one batch and
+// index past the end of its MaxBatch-sized buffers. The scheduler picks
+// between a queued request and Close at random, so the test repeats.
+func TestCloseDrainsInBatchesOfMaxBatch(t *testing.T) {
+	const maxBatch, queued = 4, 16
+	for round := 0; round < 20; round++ {
+		var calls, total atomic.Int64
+		b := &Batcher{eval: areaEval(&calls, &total), maxBatch: maxBatch,
+			reqs: make(chan *request, queued), done: make(chan struct{})}
+		rs := make([]*request, queued)
+		for i := range rs {
+			rs[i] = b.getRequest(q1(1))
+			b.reqs <- rs[i]
+		}
+		close(b.done)
+		b.stopped.Add(1)
+		b.run()
+		for i, r := range rs {
+			select {
+			case <-r.done:
+			default:
+				t.Fatalf("round %d: queued request %d never served", round, i)
+			}
+		}
+		if total.Load() != queued || calls.Load() != queued/maxBatch {
+			t.Fatalf("round %d: %d queries in %d batches, want %d in %d", round, total.Load(), calls.Load(), queued, queued/maxBatch)
+		}
+	}
+}
+
 // TestFillDeadlineNotExtendedByStragglers is the regression test for the
 // re-arming fill timer: the scheduler used to Reset the MaxWait deadline on
 // every straggler arrival, so a steady trickle spaced just under MaxWait
